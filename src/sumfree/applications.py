@@ -4,7 +4,9 @@ A symmetric complete sum-free set S makes Cay(Z_n, S) an |S|-regular
 triangle-free graph of diameter 2, splits Z_p into the three-part partition
 {{0}, S, (S+S) \\ {0}} closed under part-wise sums, and conditions the
 random sum-free process of repeatedly joining each non-sum with probability
-one half.  Each claim is checked computationally here, never assumed.
+one half.  Each claim is checked computationally here, never assumed; the
+graph properties are checked at vertex 0 and extend to every vertex because
+Cayley graphs are vertex-transitive.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from typing import List, Optional, Tuple
 
 from numpy.random import Generator, Philox
 
+from ._bits import bit_positions
 from ._parallel import run_sharded
 from ._primes import is_prime
 from .errors import DomainError, ParameterError
-from .zn_core import CyclicSet, classify, negate, sumset
+from .zn_core import CyclicSet, _sumset_bits, classify, negate, sumset
 
 __all__ = [
     "CayleyGraph",
@@ -34,23 +37,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CayleyGraph:
-    """Cay(Z_n, S): vertices Z_n, u ~ v iff u - v lands in S."""
+    """Cay(Z_n, S): vertices Z_n, u ~ v iff u - v lands in S.
+
+    Only S is stored; the neighbourhood of u is S rotated by u, built on
+    demand, so nothing here costs O(n^2) bits unless the output does.
+    """
 
     generators: CyclicSet
-    rows: Tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.generators.modulus
 
+    def _row(self, u: int) -> int:
+        n = self.n
+        bits = self.generators.bits
+        return ((bits << u) | (bits >> (n - u))) & ((1 << n) - 1)
+
     def neighbors(self, u: int) -> List[int]:
-        row = self.rows[u % self.n]
-        return [v for v in range(self.n) if row >> v & 1]
+        return bit_positions(self._row(u % self.n))
 
     def edges(self) -> List[Tuple[int, int]]:
         out = []
         for u in range(self.n):
-            row = self.rows[u] >> u + 1 << u + 1
+            row = self._row(u) >> u + 1 << u + 1
             while row:
                 low = row & -row
                 out.append((u, low.bit_length() - 1))
@@ -69,17 +79,11 @@ class CayleyGraph:
 
 def cayley_graph(S: CyclicSet) -> CayleyGraph:
     """Build Cay(Z_n, S); S must be symmetric and omit 0 (simple graph)."""
-    n = S.modulus
     if 0 in S:
         raise DomainError("generator set must not contain 0")
     if negate(S).bits != S.bits:
         raise DomainError("generator set must be symmetric for an undirected graph")
-    mask = (1 << n) - 1
-    rows = tuple(
-        ((S.bits << u) | (S.bits >> (n - u))) & mask if u else S.bits
-        for u in range(n)
-    )
-    return CayleyGraph(S, rows)
+    return CayleyGraph(S)
 
 
 @dataclass(frozen=True)
@@ -88,72 +92,33 @@ class GraphProperties:
     regular: bool
     triangle_free: bool
     diameter: Optional[int]
-    diameter_sampled: bool = False
 
 
-def _has_triangle(rows: Tuple[int, ...], n: int) -> bool:
-    for u in range(n):
-        m = rows[u] >> u + 1 << u + 1
-        while m:
-            low = m & -m
-            m ^= low
-            if rows[u] & rows[low.bit_length() - 1]:
-                return True
-    return False
-
-
-def _eccentricity(rows: Tuple[int, ...], n: int, source: int) -> Optional[int]:
-    full = (1 << n) - 1
-    visited = frontier = 1 << source
-    dist = 0
-    while visited != full:
-        reached = 0
-        m = frontier
-        while m:
-            low = m & -m
-            reached |= rows[low.bit_length() - 1]
-            m ^= low
-        frontier = reached & ~visited
-        if not frontier:
-            return None
-        visited |= frontier
-        dist += 1
-    return dist
-
-
-def graph_properties(
-    graph: CayleyGraph, *, sample_diameter: Optional[int] = None
-) -> GraphProperties:
+def graph_properties(graph: CayleyGraph) -> GraphProperties:
     """Degree/regularity, triangle freeness, and diameter, all verified.
 
-    Triangles are detected per edge through the common-neighbor bitmask;
-    the diameter runs a BFS from every vertex, or from sample_diameter
-    evenly spaced sources when set (the result is then flagged; Cayley
-    graphs are vertex-transitive, so sampling loses little).  Disconnected
-    graphs report diameter None.
+    Every property is checked at vertex 0 and extends to all vertices by
+    vertex-transitivity (u -> u + c is an automorphism).  Each neighbourhood
+    is a rotation of S, so the graph is |S|-regular.  A triangle through 0
+    is a pair of neighbours a, b with b - a in S, so the graph is
+    triangle-free iff (S + S) misses S.  Every vertex has the eccentricity
+    of 0, found by one BFS over bitmasks; disconnected graphs report
+    diameter None.
     """
     n = graph.n
-    rows = graph.rows
-    degree = graph.generators.size
-    regular = all(row.bit_count() == degree for row in rows)
-    triangle_free = not _has_triangle(rows, n)
-    if sample_diameter is None:
-        sources = range(n)
-        sampled = False
-    else:
-        if sample_diameter < 1:
-            raise ParameterError("sample_diameter must be >= 1")
-        step = max(1, n // sample_diameter)
-        sources = range(0, n, step)
-        sampled = True
+    S = graph.generators.bits
+    triangle_free = not _sumset_bits(S, S, n) & S
+    full = (1 << n) - 1
+    visited = frontier = 1
     diameter: Optional[int] = 0
-    for source in sources:
-        ecc = _eccentricity(rows, n, source)
-        if ecc is None:
+    while visited != full:
+        frontier = _sumset_bits(frontier, S, n) & ~visited
+        if not frontier:
             diameter = None
             break
-        diameter = max(diameter, ecc)
-    return GraphProperties(degree, regular, triangle_free, diameter, sampled)
+        visited |= frontier
+        diameter += 1
+    return GraphProperties(graph.generators.size, True, triangle_free, diameter)
 
 
 @dataclass(frozen=True)

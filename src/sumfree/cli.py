@@ -319,14 +319,16 @@ def _cmd_cayley(args: argparse.Namespace) -> Result:
         return graph.to_dot(), 0, {}, True
     if args.format == "edges":
         return graph.to_edge_list(), 0, {}, True
-    props = graph_properties(graph, sample_diameter=args.sample_diameter)
+    props = graph_properties(graph)
     payload = {
         "n": graph.n,
         "degree": props.degree,
         "regular": props.regular,
         "triangle_free": props.triangle_free,
         "diameter": props.diameter,
-        "diameter_sampled": props.diameter_sampled,
+        # the diameter is always exact; the key stays so the payload
+        # bytes pinned by tests/test_cli.py and perfbench/golden.json hold
+        "diameter_sampled": False,
     }
     return payload, 0, {}, False
 
@@ -476,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set")
     p.add_argument("--set-file")
     p.add_argument("--format", choices=("json", "dot", "edges"), default="json")
-    p.add_argument("--sample-diameter", type=int, default=None,
-                   help="BFS from this many sources instead of all (flagged)")
 
     p = _leaf(top, "dioid", _cmd_dioid, "dioid",
               help="three-part partition axioms over Z_p")

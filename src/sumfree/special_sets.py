@@ -9,10 +9,8 @@ proven parameter range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
-from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ._parallel import run_sharded
@@ -27,9 +25,7 @@ from .st_family import (
 __all__ = [
     "SpecialEnumeration",
     "PredictedCount",
-    "GCache",
     "is_t_special",
-    "is_t_special_zero_fast",
     "enumerate_special",
     "g_value",
     "lower_bound_index_range",
@@ -71,16 +67,6 @@ def is_t_special(T: TCandidate) -> bool:
     return _completeness_condition_mask(T.mask, T.t)
 
 
-def is_t_special_zero_fast(T: TCandidate) -> bool:
-    """Shortcut for candidates containing 0: the coverage condition is implied.
-
-    Raises unless 0 is a member, since the shortcut is not valid elsewhere.
-    """
-    if not T.mask & 1:
-        raise DomainError("zero-member shortcut requires 0 in T")
-    return T.size == T.t and _sum_free_condition_mask(T.mask, T.t)
-
-
 def _sized_masks(k: int, width: int) -> Iterator[int]:
     """All width-bit masks with exactly k bits, ascending (Gosper's hack)."""
     if k == 0:
@@ -115,7 +101,6 @@ def enumerate_special(
     *,
     budget: Optional[int] = None,
     workers: int = 1,
-    cache: Optional["GCache"] = None,
 ) -> SpecialEnumeration:
     """Stream all size-t candidates and keep the t-special ones.
 
@@ -139,59 +124,12 @@ def enumerate_special(
     masks: List[int] = []
     for shard_masks in run_sharded(_enumerate_shard, shards, workers):
         masks.extend(shard_masks)
-    result = SpecialEnumeration(t, tuple(TCandidate(t, m) for m in masks))
-    if cache is not None:
-        cache.put(t, result.g)
-    return result
+    return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in masks))
 
 
-class GCache:
-    """Tiny on-disk table of special-set counts, keyed by t.
-
-    The cache is advisory: enumeration never trusts it, it only refreshes
-    it.  Count-only readers may consult it to skip a recomputation.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-
-    def load(self) -> dict:
-        try:
-            raw = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(raw, dict):
-            return {}
-        table = {}
-        for key, value in raw.items():
-            try:
-                table[int(key)] = int(value)
-            except (TypeError, ValueError):
-                continue
-        return table
-
-    def get(self, t: int) -> Optional[int]:
-        return self.load().get(t)
-
-    def put(self, t: int, g: int) -> None:
-        table = self.load()
-        table[t] = g
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps({str(k): v for k, v in sorted(table.items())}))
-
-
-def g_value(
-    t: int,
-    *,
-    budget: Optional[int] = None,
-    cache: Optional[GCache] = None,
-) -> int:
-    """Number of t-special sets, via the cache when possible."""
-    if cache is not None:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-    return enumerate_special(t, budget=budget, cache=cache).g
+def g_value(t: int, *, budget: Optional[int] = None) -> int:
+    """Number of t-special sets, by enumeration."""
+    return enumerate_special(t, budget=budget).g
 
 
 def lower_bound_index_range(t: int) -> range:
@@ -254,7 +192,6 @@ def predicted_scsf_count(
     r: int,
     *,
     budget: Optional[int] = None,
-    cache: Optional[GCache] = None,
 ) -> PredictedCount:
     """Predicted number of symmetric complete sum-free sets of the r-th size.
 
@@ -277,7 +214,7 @@ def predicted_scsf_count(
         k = (p - 2) // 3
         t = 3 * r
         size = k - 2 * r + 1
-    g = g_value(t, budget=budget, cache=cache)
+    g = g_value(t, budget=budget)
     return PredictedCount(
         p=p,
         r=r,

@@ -144,8 +144,15 @@ def _sumset_bits(a_bits: int, b_bits: int, n: int) -> int:
     return acc & ((1 << n) - 1)
 
 
+def _mirror_bits(bits: int, n: int) -> int:
+    """Bit p moves to bit n - 1 - p (the membership string reversed)."""
+    return int(format(bits, f"0{n}b")[::-1], 2)
+
+
 def _negate_bits(bits: int, n: int) -> int:
-    return bits_from_positions(n, ((n - p) % n for p in bit_positions(bits)))
+    # the mirror puts p at n - 1 - p; rotating left by one lands it on -p mod n
+    mirrored = _mirror_bits(bits, n)
+    return ((mirrored << 1) | (mirrored >> (n - 1))) & ((1 << n) - 1)
 
 
 def interval(n: int, a: int, b: int) -> CyclicSet:
@@ -286,11 +293,6 @@ def dilation_orbit(a: CyclicSet) -> List[CyclicSet]:
     return [CyclicSet(a.modulus, b) for b in sorted(seen)]
 
 
-def _lex_key(bits: int, n: int) -> int:
-    # lexicographic order on the membership string read from index 0 upward
-    return int(format(bits, f"0{n}b")[::-1], 2) if n else 0
-
-
 def canonical_dilation_class(a: CyclicSet) -> CyclicSet:
     """Canonical representative of {u * A : u a unit}.
 
@@ -303,7 +305,9 @@ def canonical_dilation_class(a: CyclicSet) -> CyclicSet:
     best_key = None
     for u in units(n):
         cand = dilate(a, u).bits
-        key = _lex_key(cand, n)
+        # lexicographic order on the membership string read from index 0
+        # upward is the numeric order of the mirrored mask
+        key = _mirror_bits(cand, n)
         if best_key is None or key < best_key:
             best, best_key = cand, key
     assert best is not None

@@ -7,6 +7,7 @@ pinned from seeded runs and double as determinism regressions.
 import pytest
 
 from sumfree.applications import (
+    GraphProperties,
     ProcessConfig,
     cayley_graph,
     dioid_partition,
@@ -36,7 +37,6 @@ def test_cayley_z8_block():
     assert (props.degree, props.regular) == (3, True)
     assert props.triangle_free
     assert props.diameter == 2
-    assert not props.diameter_sampled
 
 
 def test_cayley_z27_construction():
@@ -84,22 +84,64 @@ def test_dot_export_c5():
     assert graph.to_edge_list() == "0 2\n0 3\n1 3\n1 4\n2 4"
 
 
-def test_sampled_diameter_flagged():
-    graph = cayley_graph(mk(8, [3, 4, 5]))
-    props = graph_properties(graph, sample_diameter=2)
-    assert props.diameter_sampled
-    # vertex-transitive, so any source sees the true eccentricity
-    assert props.diameter == 2
-    with pytest.raises(ParameterError):
-        graph_properties(graph, sample_diameter=0)
-
-
 def test_catalog_members_give_triangle_free_diameter_two():
     for member in exhaustive_scsf(16).members:
         props = graph_properties(cayley_graph(member))
         assert props.regular and props.degree == member.size
         assert props.triangle_free
         assert props.diameter == 2
+        assert props == _all_vertex_properties(member)
+
+
+def _all_vertex_properties(S):
+    """Oracle: adjacency rows from the definition, a BFS from every vertex
+    and a common-neighbour scan over every edge; no vertex-transitivity."""
+    n = S.modulus
+    rows = [sum(1 << v for v in range(n) if (v - u) % n in S) for u in range(n)]
+    degrees = {row.bit_count() for row in rows}
+    triangle = any(
+        rows[u] & rows[v] for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1
+    )
+    diameter = 0
+    for source in range(n):
+        visited = frontier = 1 << source
+        dist = 0
+        while visited != (1 << n) - 1:
+            reached = 0
+            for v in range(n):
+                if frontier >> v & 1:
+                    reached |= rows[v]
+            frontier = reached & ~visited
+            if not frontier:
+                return GraphProperties(S.size, len(degrees) == 1, not triangle, None)
+            visited |= frontier
+            dist += 1
+        diameter = max(diameter, dist)
+    return GraphProperties(S.size, len(degrees) == 1, not triangle, diameter)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_properties_match_all_vertex_oracle(n):
+    # every symmetric 0-free subset of Z_n is a union of pairs {x, -x}
+    pairs = [CyclicSet.from_elements(n, [x, -x]).bits for x in range(1, n // 2 + 1)]
+    for choice in range(1 << len(pairs)):
+        bits = 0
+        for i, pair in enumerate(pairs):
+            if choice >> i & 1:
+                bits |= pair
+        S = CyclicSet(n, bits)
+        assert graph_properties(cayley_graph(S)) == _all_vertex_properties(S)
+
+
+def test_graph_views_match_definition():
+    S = mk(13, [1, 5, 8, 12])
+    graph = cayley_graph(S)
+    for u in range(13):
+        assert graph.neighbors(u) == sorted((u + s) % 13 for s in S)
+    assert graph.neighbors(-1) == graph.neighbors(12)
+    assert graph.edges() == sorted(
+        (u, v) for u in range(13) for v in range(u + 1, 13) if (v - u) % 13 in S
+    )
 
 
 # --- dioid partition ---

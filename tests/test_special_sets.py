@@ -9,17 +9,18 @@ import pytest
 from sumfree.errors import BudgetExceededError, DomainError, ParameterError
 from sumfree.search_oracle import brute_special
 from sumfree.special_sets import (
-    GCache,
     enumerate_special,
-    g_value,
     is_t_special,
-    is_t_special_zero_fast,
     iter_lower_bound_family,
     lower_bound_family,
     lower_bound_index_range,
     predicted_scsf_count,
 )
-from sumfree.st_family import TCandidate
+from sumfree.st_family import (
+    TCandidate,
+    st_completeness_condition,
+    st_sum_free_condition,
+)
 
 # computed once by the brute force below and pinned
 G_TABLE = {1: 1, 2: 1, 3: 2, 4: 4, 5: 3, 6: 7, 7: 10, 8: 10}
@@ -45,22 +46,14 @@ def test_zero_plus_upper_block_is_special(t):
     assert is_t_special(T(t, members))
 
 
-def test_zero_fast_examples():
-    assert is_t_special_zero_fast(T(5, [0, 2, 4, 6, 8]))
-    assert not is_t_special_zero_fast(T(2, [0, 1]))
-    assert is_t_special_zero_fast(T(4, [0, 2, 4, 6]))
-
-
-def test_zero_fast_requires_zero():
-    with pytest.raises(DomainError):
-        is_t_special_zero_fast(T(3, [1, 2, 3]))
-
-
 @pytest.mark.parametrize("t", range(1, 9))
 def test_zero_fast_agrees_on_its_domain(t):
+    # for size-t candidates containing 0, the triple-sum condition implies
+    # the coverage condition, so is_t_special reduces to the former there
     for mask in range(1, 1 << (2 * t), 2):  # odd masks contain 0
         cand = TCandidate(t, mask)
-        assert is_t_special_zero_fast(cand) == is_t_special(cand)
+        if cand.size == t and st_sum_free_condition(cand):
+            assert st_completeness_condition(cand)
 
 
 # --- enumeration ---
@@ -149,34 +142,6 @@ def test_family_members_are_special_and_distinct(t):
 @pytest.mark.parametrize("t", range(1, 9))
 def test_g_respects_doubling_lower_bound(t):
     assert G_TABLE[t] >= 1 << (t // 3)
-
-
-# --- cache ---
-
-
-def test_cache_round_trip(tmp_path):
-    cache = GCache(tmp_path / "g.json")
-    assert cache.get(4) is None
-    enum = enumerate_special(4, cache=cache)
-    assert cache.get(4) == enum.g == 4
-    cache.put(9, 99)
-    assert cache.load() == {4: 4, 9: 99}
-
-
-def test_cache_tolerates_garbage(tmp_path):
-    path = tmp_path / "g.json"
-    path.write_text("not json")
-    cache = GCache(path)
-    assert cache.load() == {}
-    path.write_text('{"4": "x", "5": 3}')
-    assert cache.load() == {5: 3}
-
-
-def test_g_value_consults_cache(tmp_path):
-    cache = GCache(tmp_path / "g.json")
-    cache.put(4, 123)
-    assert g_value(4, cache=cache) == 123  # advisory, but trusted when asked
-    assert g_value(4) == 4
 
 
 # --- counting formula ---

@@ -181,6 +181,18 @@ def test_negate_is_involution(case):
     assert negate(negate(a)).bits == a.bits
 
 
+@given(
+    st.integers(min_value=1, max_value=300).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_negate_matches_definition(case):
+    n, bits = case
+    a = CyclicSet(n, bits)
+    assert negate(a).elements() == sorted((-x) % n for x in a.elements())
+
+
 def test_dilate_identity_and_negation():
     s = mk(8, [3, 4, 5])
     assert dilate(s, 1).bits == s.bits
