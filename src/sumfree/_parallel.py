@@ -10,6 +10,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence, Tuple
 
+from .errors import ParameterError
+
+
+def require_workers(workers: int) -> None:
+    """Refuse a worker count below one; public entry points call this first."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+
 
 def _pool_size(workers: int, shard_count: int) -> int:
     """Processes worth starting: no more than the shards or the usable CPUs."""

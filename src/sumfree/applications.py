@@ -17,9 +17,9 @@ from typing import List, Optional, Tuple
 from numpy.random import Generator, Philox
 
 from ._bits import bit_positions
-from ._parallel import run_sharded
+from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
-from .errors import DomainError, ParameterError
+from .errors import ConstructionError, DomainError, ParameterError
 from .zn_core import CyclicSet, _sumset_bits, classify, negate, sumset
 
 __all__ = [
@@ -41,9 +41,17 @@ class CayleyGraph:
 
     Only S is stored; the neighbourhood of u is S rotated by u, built on
     demand, so nothing here costs O(n^2) bits unless the output does.
+    S must omit 0 and be symmetric, so the graph is simple and undirected.
     """
 
     generators: CyclicSet
+
+    def __post_init__(self):
+        S = self.generators
+        if 0 in S:
+            raise DomainError("generator set must not contain 0")
+        if negate(S).bits != S.bits:
+            raise DomainError("generator set must be symmetric for an undirected graph")
 
     @property
     def n(self) -> int:
@@ -79,10 +87,6 @@ class CayleyGraph:
 
 def cayley_graph(S: CyclicSet) -> CayleyGraph:
     """Build Cay(Z_n, S); S must be symmetric and omit 0 (simple graph)."""
-    if 0 in S:
-        raise DomainError("generator set must not contain 0")
-    if negate(S).bits != S.bits:
-        raise DomainError("generator set must be symmetric for an undirected graph")
     return CayleyGraph(S)
 
 
@@ -165,7 +169,9 @@ def dioid_partition(S: CyclicSet) -> PartitionReport:
     zero = CyclicSet(p, 1)
     middle = sumset(S, S) - zero
     parts = (zero, S, middle)
-    assert sum(part.size for part in parts) == p
+    if sum(part.size for part in parts) != p:
+        sizes = [part.size for part in parts]
+        raise ConstructionError(f"parts of sizes {sizes} do not tile Z_{p}")
 
     products = []
     unions_ok = True
@@ -289,11 +295,12 @@ def simulate_random_sumfree(
     leaving M_S stop early since no later join can repair containment.
     Tallies are integers, so the report is identical for any worker count.
     """
+    require_workers(workers)
     modulus = member_bits = None
     if config.conditioning is not None:
         modulus = config.conditioning.modulus
         member_bits = config.conditioning.bits
-    chunk = -(-config.trials // max(1, workers))
+    chunk = -(-config.trials // workers)
     shards = [
         (config.horizon, config.seed, start, min(chunk, config.trials - start),
          modulus, member_bits)

@@ -28,7 +28,8 @@ class DomainError(SumfreeError):
 
 
 class ConstructionError(SumfreeError):
-    """A checked construction failed its own verification."""
+    """A construction or search broke an invariant it relies on, or failed
+    its own verification."""
 
 
 class BudgetExceededError(SumfreeError):

@@ -84,7 +84,8 @@ class IntervalAPParameters:
 
 def _half_even(value: int) -> int:
     """value / 2, refusing to round: oddness here means a parameter bug."""
-    assert value % 2 == 0, f"expected an even intermediate, got {value}"
+    if value % 2:
+        raise ConstructionError(f"expected an even intermediate, got {value}")
     return value // 2
 
 
@@ -103,12 +104,12 @@ def component_sets(
     B = CyclicSet.from_elements(n, (b_start + i * d for i in range(k - 3)))
     C = interval(n, n // 2 - t, (n + 1) // 2 + t)
     # the last element of B must land exactly 2d-2 short of C's left end
-    assert b_start + (k - 4) * d == n // 2 - t - 2 * d + 2
-    neg_a, neg_b = negate(A), negate(B)
-    pieces = [A, neg_a, B, neg_b, C]
+    if b_start + (k - 4) * d != n // 2 - t - 2 * d + 2:
+        raise ConstructionError(f"B does not end 2d-2 short of C for {params}")
     total = 0
-    for piece in pieces:
-        assert total & piece.bits == 0, "construction pieces overlap"
+    for piece in (A, negate(A), B, negate(B), C):
+        if total & piece.bits:
+            raise ConstructionError(f"construction pieces overlap for {params}")
         total |= piece.bits
     return A, B, C
 
@@ -127,7 +128,10 @@ def build_small(params: IntervalAPParameters, *, checked: bool = True) -> Cyclic
     A, B, C = component_sets(params)
     bits = A.bits | negate(A).bits | B.bits | negate(B).bits | C.bits
     result = CyclicSet(params.n, bits)
-    assert result.size == params.size
+    if result.size != params.size:
+        raise ConstructionError(
+            f"built {result.size} elements, the formula gives {params.size}: {params}"
+        )
     if checked:
         props = classify(result)
         if not (props.symmetric and props.sum_free and props.complete):
@@ -184,7 +188,8 @@ def solve_parameters(n: int) -> SolvedParameters:
         raise ParameterError(f"modulus must be positive, got {n}")
     root = math.isqrt(n)
     candidates = [c for c in (root, root - 1, root - 2) if c % 3 == 1]
-    assert len(candidates) == 1
+    if len(candidates) != 1:
+        raise ConstructionError(f"no unique d0 = 1 mod 3 near sqrt({n}): {candidates}")
     d0 = candidates[0]
     a = 11 if n % 2 else 14
     m = _half_even(n + a)
@@ -194,19 +199,25 @@ def solve_parameters(n: int) -> SolvedParameters:
         )
     remainder = m % (2 * d0)
     multiples = [remainder + 2 * d0 * i for i in (1, 2, 3) if (remainder + 2 * d0 * i) % 3 == 0]
-    assert len(multiples) == 1
+    if len(multiples) != 1:
+        raise ConstructionError(f"no unique 3*t0 for n = {n}: {multiples}")
     t0 = multiples[0] // 3
     k0 = (m - 3 * t0) // (2 * d0)
-    assert m == 2 * d0 * k0 + 3 * t0
+    if m != 2 * d0 * k0 + 3 * t0:
+        raise ConstructionError(f"m = {m} is not 2*d0*k0 + 3*t0 for n = {n}")
     if k0 < 4:
         raise ParameterError(
             f"below construction threshold for n = {n}: k0 = {k0} < 4"
         )
     solved = SolvedParameters(t0, d0, k0, a)
     # the remaining bounds hold by construction; keep them loud
-    assert t0 >= 1 and d0 <= 2 * t0 + 1
-    assert 2 * d0 <= 3 * t0 <= 8 * d0
-    assert 4 * d0 * k0 + 6 * t0 - a == n
+    if not (
+        t0 >= 1
+        and d0 <= 2 * t0 + 1
+        and 2 * d0 <= 3 * t0 <= 8 * d0
+        and 4 * d0 * k0 + 6 * t0 - a == n
+    ):
+        raise ConstructionError(f"{solved} breaks the parameter bounds for n = {n}")
     return solved
 
 
@@ -242,8 +253,12 @@ def size_ladder(n: int) -> SizeLadder:
         for i in range(rung_count)
     )
     for i, params in enumerate(rungs):
-        assert params.n == n and params.hypothesis_ok
-        assert params.size == rungs[0].size + i * 2 * (2 * d0 - 3)
+        if not (
+            params.n == n
+            and params.hypothesis_ok
+            and params.size == rungs[0].size + i * 2 * (2 * d0 - 3)
+        ):
+            raise ConstructionError(f"rung {i} {params} is off the ladder at n = {n}")
     return SizeLadder(n, rungs)
 
 
@@ -270,7 +285,8 @@ def _refined_candidates(n: int, target_size: float) -> List[IntervalAPParameters
                 continue
             params = IntervalAPParameters(t=rest // 6, d=d, k=k, a=a)
             if params.hypothesis_ok:
-                assert params.n == n
+                if params.n != n:
+                    raise ConstructionError(f"{params} has n = {params.n}, not {n}")
                 found.append(params)
     return found
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from ._parallel import run_sharded
+from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, ConstructionError, DomainError
 from .special_sets import (
     PredictedCount,
     SpecialEnumeration,
@@ -185,6 +185,7 @@ def exhaustive_scsf(
     searched depth-first with the partial sumset carried along; sum-free
     failures prune, completeness is checked at the leaves.
     """
+    require_workers(workers)
     if n < 1:
         raise DomainError(f"modulus must be positive, got {n}")
     cost = 1 << (n // 2)
@@ -208,7 +209,8 @@ def exhaustive_scsf(
     members = tuple(CyclicSet(n, bits) for bits in sorted(found))
     for member in members:
         props = classify(member)
-        assert props.symmetric and props.sum_free and props.complete
+        if not (props.symmetric and props.sum_free and props.complete):
+            raise ConstructionError(f"search returned a non-member {member}: {props}")
     return Catalog(n, size_filter, members, _group_into_classes(members))
 
 
@@ -351,6 +353,7 @@ def characterization_probe(
     workers: int = 1,
 ) -> ProbeReport:
     """Catalog-versus-construction comparison for Z_p at size s."""
+    require_workers(workers)
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
     catalog = exhaustive_scsf(p, size_filter=s, budget=budget, workers=workers)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from ._parallel import run_sharded
+from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
 from .errors import BudgetExceededError, DomainError, ParameterError
 from .st_family import (
@@ -108,6 +108,7 @@ def enumerate_special(
     before the coverage condition.  Cost is C(2t, t) candidates, refused
     when it exceeds the budget.
     """
+    require_workers(workers)
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     cost = comb(2 * t, t)

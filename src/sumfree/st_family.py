@@ -17,8 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from ._bits import iter_bits, reverse_mask
-from ._parallel import run_sharded
-from .errors import BudgetExceededError, DomainError, ParameterError
+from ._parallel import require_workers, run_sharded
+from .errors import (
+    BudgetExceededError,
+    ConstructionError,
+    DomainError,
+    ParameterError,
+)
 from .zn_core import CyclicSet, _negate_bits, _sumset_bits, interval
 
 __all__ = [
@@ -162,7 +167,8 @@ def build_st(params: STParameters, T: TCandidate) -> CyclicSet:
     bits = central.bits | right | _negate_bits(right, n)
     result = CyclicSet(n, bits)
     # the three pieces are pairwise disjoint whenever the parameters are valid
-    assert len(result) == 4 * s - n - 1 + 2 * T.size
+    if len(result) != 4 * s - n - 1 + 2 * T.size:
+        raise ConstructionError(f"pieces of S_T overlap at (n, s) = ({n}, {s})")
     return result
 
 
@@ -228,6 +234,7 @@ def verify_st_equivalence(
     Requires parameters in the range where the reduction is proven
     (theorem-valid), and walks all 4**t candidates.
     """
+    require_workers(workers)
     params = STParameters(n, s)
     if not params.theorem_valid:
         raise ParameterError(
@@ -244,7 +251,7 @@ def verify_st_equivalence(
             limit=limit,
         )
     shards = []
-    chunk = max(1, total // max(workers, 1))
+    chunk = max(1, total // workers)
     lo = 0
     while lo < total:
         hi = min(total, lo + chunk)

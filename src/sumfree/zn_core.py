@@ -1,9 +1,14 @@
 """Exact set algebra over the cyclic group Z_n.
 
 A set is an immutable bit-vector: bit ``i`` of ``bits`` is set iff ``i`` is
-a member.  All arithmetic is exact integer arithmetic; sumsets are computed
-by shifted-OR over the smaller operand, which agrees with the naive double
-loop by construction (and is cross-checked against it in the tests).
+a member.  All arithmetic is exact integer arithmetic.  Sumsets walk the
+maximal runs of consecutive members of the smaller operand: one edge mask
+finds the runs, each run spreads the other operand by doubling shift-ORs,
+and one wrapped rotation folds it back into n bits.  The sets built here
+are a handful of intervals and progressions, so this costs O(runs * log
+run) big-integer shifts, not O(|A|); the result is the per-member shifted
+OR bit for bit, and the tests check it against that loop and against the
+naive double loop.
 
 Everything here is a pure function of its arguments, so values can be shared
 freely between threads or processes.
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List
 
 from ._bits import bit_positions, bits_from_positions
 from .errors import (
@@ -129,18 +134,36 @@ def _require_same_modulus(a: CyclicSet, b: CyclicSet) -> None:
 
 
 def _sumset_bits(a_bits: int, b_bits: int, n: int) -> int:
-    """Bit-vector of {x + y : x in A, y in B} mod n via shifted OR."""
+    """Bit-vector of {x + y : x in A, y in B} mod n, one pass per run of A.
+
+    A (the operand with fewer members) is split into maximal runs
+    [start, stop) of consecutive residues.  The edge mask A ^ (A << 1) has
+    a bit at each run's first member and at the slot after its last, so
+    its positions, taken in pairs, are the runs in order.  For each run,
+    B + {0, ..., L-1} is built as a plain integer by doubling (B | B << 1,
+    then that | itself << 2, ...), ceil(log2 L) shift-ORs, and then
+    rotated by start.  The rotation's right shift is the single fold back
+    into n bits: start + L <= n keeps every bit of the spread below 2n,
+    so each bit p lands on (p + start) mod n.  A run of length 1 does no
+    doubling and costs one rotation, like a single member.  The union over
+    runs is the union over members x of B + x, so the result equals the
+    per-member shifted OR bit for bit.
+    """
     if a_bits == 0 or b_bits == 0:
         return 0
     if a_bits.bit_count() > b_bits.bit_count():
         a_bits, b_bits = b_bits, a_bits
     acc = 0
-    for x in bit_positions(a_bits):
-        if x:
-            # wrapped rotation of B by x; overflow re-enters via the right shift
-            acc |= (b_bits << x) | (b_bits >> (n - x))
-        else:
-            acc |= b_bits
+    edges = iter(bit_positions(a_bits ^ (a_bits << 1)))
+    for start, stop in zip(edges, edges):
+        length = stop - start
+        spread = b_bits
+        width = 1
+        while width < length:
+            step = width if 2 * width <= length else length - width
+            spread |= spread << step
+            width += step
+        acc |= (spread << start) | (spread >> (n - start))
     return acc & ((1 << n) - 1)
 
 
@@ -191,16 +214,13 @@ def sumset_power(a: CyclicSet, k: int) -> CyclicSet:
     """The k-fold sumset A + A + ... + A, computed by doubling."""
     if k < 1:
         raise DomainError(f"fold count must be >= 1, got {k}")
-    result: Optional[int] = None
-    base = a.bits
     n = a.modulus
-    while k:
-        if k & 1:
-            result = base if result is None else _sumset_bits(result, base, n)
-        k >>= 1
-        if k:
-            base = _sumset_bits(base, base, n)
-    assert result is not None
+    result = a.bits
+    # binary digits of k after the leading one, most significant first
+    for digit in bin(k)[3:]:
+        result = _sumset_bits(result, result, n)
+        if digit == "1":
+            result = _sumset_bits(result, a.bits, n)
     return CyclicSet(n, result)
 
 
@@ -301,16 +321,12 @@ def canonical_dilation_class(a: CyclicSet) -> CyclicSet:
     would do; this one is reproducible and cheap.
     """
     n = a.modulus
-    best = None
-    best_key = None
-    for u in units(n):
-        cand = dilate(a, u).bits
-        # lexicographic order on the membership string read from index 0
-        # upward is the numeric order of the mirrored mask
-        key = _mirror_bits(cand, n)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    assert best is not None
+    # lexicographic order on the membership string read from index 0
+    # upward is the numeric order of the mirrored mask; units(n) is never empty
+    best = min(
+        (dilate(a, u).bits for u in units(n)),
+        key=lambda bits: _mirror_bits(bits, n),
+    )
     return CyclicSet(n, best)
 
 

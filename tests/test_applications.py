@@ -7,6 +7,7 @@ pinned from seeded runs and double as determinism regressions.
 import pytest
 
 from sumfree.applications import (
+    CayleyGraph,
     GraphProperties,
     ProcessConfig,
     cayley_graph,
@@ -62,6 +63,16 @@ def test_cayley_rejects_bad_generators():
         cayley_graph(mk(8, [0, 3, 4, 5]))
     with pytest.raises(DomainError):
         cayley_graph(mk(8, [1, 2]))  # not symmetric
+
+
+def test_cayley_graph_direct_construction_checks_generators():
+    # the checks live in CayleyGraph itself, so graph_properties never sees
+    # a directed or looped graph
+    with pytest.raises(DomainError):
+        CayleyGraph(mk(8, [1]))
+    with pytest.raises(DomainError):
+        CayleyGraph(mk(8, [0, 3, 4, 5]))
+    assert CayleyGraph(mk(8, [3, 4, 5])).neighbors(0) == [3, 4, 5]
 
 
 def test_cayley_edge_count():

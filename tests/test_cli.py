@@ -287,6 +287,17 @@ def test_simulate_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_rejected(capsys, threads):
+    # refused before the trial loop; no worker process is started
+    code, payload = run_json(
+        capsys, "simulate", "cameron", "--horizon", "50", "--trials", "3",
+        "--seed", "1", "--threads", threads,
+    )
+    assert code == 1
+    assert payload["error"]["type"] == "ParameterError"
+
+
 def test_simulate_mod_needs_set(capsys):
     code, payload = run_json(
         capsys, "simulate", "cameron", "--horizon", "10", "--trials", "2",

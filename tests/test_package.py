@@ -1,13 +1,21 @@
-"""Package-wide checks: exported names and worker-pool sizing."""
+"""Package-wide checks: exported names, worker counts, pool sizing, no asserts."""
 
+import ast
 import importlib
+import inspect
 import os
+import pathlib
 import pkgutil
 
 import pytest
 
 import sumfree
 from sumfree._parallel import _pool_size
+from sumfree.applications import ProcessConfig, simulate_random_sumfree
+from sumfree.errors import ParameterError
+from sumfree.search_oracle import characterization_probe, exhaustive_scsf
+from sumfree.special_sets import enumerate_special
+from sumfree.st_family import verify_st_equivalence
 
 MODULES = [
     module
@@ -35,3 +43,48 @@ def test_pool_size_is_capped_by_cpus_and_shards():
     assert _pool_size(10**9, 3) == min(3, cpus)
     assert _pool_size(1, 10**9) == 1
     assert _pool_size(0, 5) == 0
+
+
+# one small valid call per public function that takes `workers`
+WORKER_CALLS = {
+    "enumerate_special": lambda w: enumerate_special(3, workers=w),
+    "exhaustive_scsf": lambda w: exhaustive_scsf(16, workers=w),
+    "characterization_probe": lambda w: characterization_probe(11, 3, workers=w),
+    "verify_st_equivalence": lambda w: verify_st_equivalence(61, 18, workers=w),
+    "simulate_random_sumfree": lambda w: simulate_random_sumfree(
+        ProcessConfig(horizon=10, trials=2, seed=1), workers=w
+    ),
+}
+
+
+def test_worker_calls_cover_every_public_function_with_workers():
+    takes_workers = {
+        name
+        for module in MODULES
+        for name in module.__all__
+        if callable(obj := getattr(module, name))
+        and not inspect.isclass(obj)
+        and "workers" in inspect.signature(obj).parameters
+    }
+    assert takes_workers == set(WORKER_CALLS)
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+@pytest.mark.parametrize("name", sorted(WORKER_CALLS))
+def test_worker_count_below_one_is_refused(name, workers):
+    # refused before any work or pool starts; exhaustive_scsf runs
+    # in-process for workers <= 1, so the check cannot live in the pool alone
+    with pytest.raises(ParameterError, match="workers must be >= 1"):
+        WORKER_CALLS[name](workers)
+
+
+SOURCES = sorted(pathlib.Path(sumfree.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_in_package_source(path):
+    # `python -O` strips assert statements; invariants the code relies on
+    # must raise a SumfreeError instead
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} has assert statements at lines {lines}"

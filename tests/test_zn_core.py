@@ -1,7 +1,9 @@
 """Set algebra and predicate tests, including oracle cross-checks.
 
-The sumset oracle here is the naive double loop over element lists; the
-library computes sumsets by shifted-OR, so agreement is a real check.
+The library computes sumsets run by run: each maximal run of consecutive
+members spreads the other operand by doubling shift-ORs.  Two oracles
+check it: the naive double loop over element lists, and the per-member
+shifted OR (one wrapped rotation per member) that the run kernel replaced.
 """
 
 import random
@@ -10,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumfree._bits import bit_positions
 from sumfree.errors import (
     DomainError,
     IntervalCoversGroupError,
     ModulusMismatchError,
     NotAUnitError,
 )
+from sumfree.interval_ap_family import build_small, size_ladder
 from sumfree.zn_core import (
     CyclicSet,
     canonical_dilation_class,
@@ -43,6 +47,55 @@ def mk(n, elements):
 
 def naive_sumset(n, xs, ys):
     return sorted({(x + y) % n for x in xs for y in ys})
+
+
+def shift_or_sumset_bits(a_bits, b_bits, n):
+    """The per-member shifted OR: one wrapped rotation of B per member of A."""
+    if a_bits == 0 or b_bits == 0:
+        return 0
+    if a_bits.bit_count() > b_bits.bit_count():
+        a_bits, b_bits = b_bits, a_bits
+    acc = 0
+    for x in bit_positions(a_bits):
+        if x:
+            # wrapped rotation of B by x; overflow re-enters via the right shift
+            acc |= (b_bits << x) | (b_bits >> (n - x))
+        else:
+            acc |= b_bits
+    return acc & ((1 << n) - 1)
+
+
+def assert_sumset_matches_oracles(n, a_bits, b_bits):
+    a, b = CyclicSet(n, a_bits), CyclicSet(n, b_bits)
+    naive = naive_sumset(n, a.elements(), b.elements())
+    for x, y in ((a, b), (b, a)):
+        got = sumset(x, y)
+        assert got.elements() == naive
+        assert got.bits == shift_or_sumset_bits(x.bits, y.bits, n)
+
+
+@st.composite
+def run_structured_bits(draw, n):
+    """A union of a few cyclic intervals and d-step progressions in Z_n."""
+    members = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        start = draw(st.integers(min_value=0, max_value=n - 1))
+        count = draw(st.integers(min_value=1, max_value=n))
+        step = draw(st.sampled_from([1, draw(st.integers(min_value=1, max_value=n))]))
+        members.extend(start + i * step for i in range(count))
+    return CyclicSet.from_elements(n, members).bits
+
+
+run_pairs_strategy = st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        run_structured_bits(n),
+        st.one_of(
+            run_structured_bits(n),
+            st.integers(min_value=0, max_value=(1 << n) - 1),
+        ),
+    )
+)
 
 
 sets_strategy = st.integers(min_value=1, max_value=64).flatmap(
@@ -141,6 +194,11 @@ def test_sumset_power_matches_repeated_sumset():
     assert sumset_power(s, 1).bits == s.bits
     assert sumset_power(s, 2).bits == ss.bits
     assert sumset_power(s, 3).bits == sumset(ss, s).bits
+    s = mk(97, [5, 6, 40])  # sparse enough that k = 1..7 give distinct sets
+    repeated = s
+    for k in range(1, 8):
+        assert sumset_power(s, k).bits == repeated.bits
+        repeated = sumset(repeated, s)
     with pytest.raises(DomainError):
         sumset_power(s, 0)
 
@@ -162,6 +220,48 @@ def test_sumset_with_self_matches_naive(case):
     n, bits = case
     a = CyclicSet(n, bits)
     assert sumset(a, a).elements() == naive_sumset(n, a.elements(), a.elements())
+
+
+@given(run_pairs_strategy)
+@settings(max_examples=300, deadline=None)
+def test_sumset_matches_oracles_on_run_structured_sets(case):
+    n, a_bits, b_bits = case
+    assert_sumset_matches_oracles(n, a_bits, b_bits)
+    assert_sumset_matches_oracles(n, a_bits, a_bits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 65, 300])
+def test_sumset_run_edge_cases(n):
+    full = (1 << n) - 1
+    cases = {
+        0,
+        full,  # one run of length n
+        full ^ 1,  # run 1..n-1 of length n-1
+        full ^ (1 << (n - 1)),  # run 0..n-2 of length n-1
+        full ^ (1 << (n // 2)),  # cyclic run of length n-1 through n-1 and 0
+        1 | (1 << (n - 1)),  # the run {n-1, 0} that crosses 0
+        1,
+        1 << (n - 1),
+        int("01" * n, 2) & full,  # no two adjacent members
+    }
+    for a_bits in cases:
+        for b_bits in cases:
+            assert_sumset_matches_oracles(n, a_bits, b_bits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sumset_matches_oracles_on_every_pair(n):
+    for a_bits in range(1 << n):
+        for b_bits in range(a_bits, 1 << n):
+            assert_sumset_matches_oracles(n, a_bits, b_bits)
+
+
+@pytest.mark.parametrize("n", [686, 1001, 2048, 2999])
+def test_ladder_rungs_sum_to_their_complement(n):
+    for params in size_ladder(n).rungs:
+        S = build_small(params, checked=False)
+        assert sumset(S, S).bits == S.complement().bits
+        assert shift_or_sumset_bits(S.bits, S.bits, n) == S.complement().bits
 
 
 # --- negate / dilate ---
