@@ -1,4 +1,8 @@
-"""Low-level bit-vector helpers shared by the group-algebra and search code."""
+"""Low-level bit-vector helpers shared by the group-algebra and search code.
+
+Each job has one implementation here: listing set bits, packing indices,
+mirroring a mask within a width, and rotating an n-bit mask.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ _BYTE_POSITIONS = tuple(
     tuple(j for j in range(8) if b >> j & 1) for b in range(256)
 )
 
-_BYTE_REVERSED = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def bit_positions(bits: int) -> list[int]:
@@ -29,22 +33,18 @@ def bits_from_positions(width: int, positions) -> int:
     return int.from_bytes(buf, "little")
 
 
-def reverse_mask(mask: int, width: int) -> int:
-    """Mirror a mask within [0, width): bit i moves to bit width-1-i."""
-    out = 0
-    remaining = width
-    while remaining >= 8:
-        out = (out << 8) | _BYTE_REVERSED[mask & 0xFF]
-        mask >>= 8
-        remaining -= 8
-    if remaining:
-        out = (out << remaining) | (_BYTE_REVERSED[mask & 0xFF] >> (8 - remaining))
-    return out
+def mirror(bits: int, width: int) -> int:
+    """Mirror a mask within [0, width): bit i moves to bit width - 1 - i.
+
+    Reversing the bits of every byte and reading the bytes in the opposite
+    order mirrors the mask within a whole number of bytes; the final shift
+    drops the padding above width.  Linear in width.
+    """
+    nbytes = (width + 7) >> 3
+    reversed_bytes = bits.to_bytes(nbytes, "little").translate(_BYTE_REVERSED)
+    return int.from_bytes(reversed_bytes, "big") >> (8 * nbytes - width)
 
 
-def iter_bits(mask: int):
-    """Yield set-bit indices ascending; cheap for small masks."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+def rotate(bits: int, r: int, n: int) -> int:
+    """Rotate an n-bit mask left by r, 0 <= r <= n: bit p moves to (p + r) mod n."""
+    return ((bits << r) | (bits >> (n - r))) & ((1 << n) - 1)

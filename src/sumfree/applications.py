@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from numpy.random import Generator, Philox
 
-from ._bits import bit_positions
+from ._bits import bit_positions, rotate
 from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
 from .errors import ConstructionError, DomainError, ParameterError
@@ -58,9 +58,7 @@ class CayleyGraph:
         return self.generators.modulus
 
     def _row(self, u: int) -> int:
-        n = self.n
-        bits = self.generators.bits
-        return ((bits << u) | (bits >> (n - u))) & ((1 << n) - 1)
+        return rotate(self.generators.bits, u, self.n)
 
     def neighbors(self, u: int) -> List[int]:
         return bit_positions(self._row(u % self.n))

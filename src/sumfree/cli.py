@@ -93,18 +93,6 @@ def _load_set(n: Optional[int], set_arg: Optional[str], file_arg: Optional[str])
     return CyclicSet.from_elements(n, _parse_members(set_arg))
 
 
-def _budget(args: argparse.Namespace) -> Optional[int]:
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("SUMFREE_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"SUMFREE_BUDGET must be an integer, got {raw!r}")
-
-
 def _properties_block(S: CyclicSet) -> Dict[str, object]:
     props = classify(S)
     return {
@@ -143,7 +131,7 @@ def _cmd_st_build(args: argparse.Namespace) -> Result:
 
 def _cmd_st_equiv(args: argparse.Namespace) -> Result:
     report = verify_st_equivalence(
-        args.n, args.s, budget=_budget(args), workers=args.threads
+        args.n, args.s, budget=args.budget, workers=args.threads
     )
     payload = {
         "n": report.n,
@@ -158,7 +146,7 @@ def _cmd_st_equiv(args: argparse.Namespace) -> Result:
 
 
 def _cmd_special_enum(args: argparse.Namespace) -> Result:
-    enum = enumerate_special(args.t, budget=_budget(args), workers=args.threads)
+    enum = enumerate_special(args.t, budget=args.budget, workers=args.threads)
     payload: Dict[str, object] = {"t": enum.t, "g": enum.g}
     if not args.count_only:
         payload["sets"] = enum.as_lists()
@@ -166,7 +154,7 @@ def _cmd_special_enum(args: argparse.Namespace) -> Result:
 
 
 def _cmd_special_predict(args: argparse.Namespace) -> Result:
-    pc = predicted_scsf_count(args.p, args.r, budget=_budget(args))
+    pc = predicted_scsf_count(args.p, args.r, budget=args.budget)
     payload = {
         "p": pc.p,
         "r": pc.r,
@@ -186,7 +174,7 @@ def _cmd_special_predict(args: argparse.Namespace) -> Result:
 
 def _cmd_small_build(args: argparse.Namespace) -> Result:
     params = IntervalAPParameters(t=args.t, d=args.d, k=args.k, a=args.variant)
-    S = build_small(params, checked=not args.fast)
+    S = build_small(params)
     payload = {
         "t": params.t,
         "d": params.d,
@@ -203,7 +191,7 @@ def _cmd_ladder(args: argparse.Namespace) -> Result:
     ladder = size_ladder(args.n)
     rungs = []
     for params in ladder.rungs:
-        S = build_small(params, checked=not args.fast)
+        S = build_small(params)
         rungs.append(
             {
                 "t": params.t,
@@ -218,7 +206,7 @@ def _cmd_ladder(args: argparse.Namespace) -> Result:
 
 def _cmd_density(args: argparse.Namespace) -> Result:
     choice = density_choice(args.n, args.alpha, refine=not args.ladder_only)
-    S = build_small(choice, checked=not args.fast)
+    S = build_small(choice)
     payload = {
         "n": args.n,
         "alpha": args.alpha,
@@ -236,7 +224,7 @@ def _cmd_density(args: argparse.Namespace) -> Result:
 
 def _cmd_search_exhaustive(args: argparse.Namespace) -> Result:
     catalog = exhaustive_scsf(
-        args.n, size_filter=args.size, budget=_budget(args), workers=args.threads
+        args.n, size_filter=args.size, budget=args.budget, workers=args.threads
     )
     payload: Dict[str, object] = {
         "n": catalog.n,
@@ -256,7 +244,7 @@ def _cmd_search_exhaustive(args: argparse.Namespace) -> Result:
 
 
 def _cmd_search_maxsumfree(args: argparse.Namespace) -> Result:
-    catalog = exhaustive_max_sum_free(args.p, budget=_budget(args))
+    catalog = exhaustive_max_sum_free(args.p, budget=args.budget)
     payload = {
         "p": catalog.p,
         "max_size": catalog.max_size,
@@ -275,7 +263,7 @@ def _cmd_search_maxsumfree(args: argparse.Namespace) -> Result:
 
 def _cmd_search_probe(args: argparse.Namespace) -> Result:
     report = characterization_probe(
-        args.p, args.s, budget=_budget(args), workers=args.threads
+        args.p, args.s, budget=args.budget, workers=args.threads
     )
     predicted = None
     if report.predicted is not None:
@@ -380,23 +368,20 @@ def _cmd_simulate_cameron(args: argparse.Namespace) -> Result:
     return payload, 0, {}, False
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    parser.add_argument(
-        "--fast", action="store_true", help="skip checked-mode re-verification"
-    )
-    parser.add_argument(
-        "--budget", type=int, default=None, help="override enumeration budgets"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker process cap (default 1)"
-    )
-
-
-def _leaf(subparsers, name: str, handler, command: str, **kwargs):
+def _leaf(subparsers, name: str, handler, command: str, *,
+          budget: bool = False, threads: bool = False, **kwargs):
+    """Add one command; only commands that pass them on get --budget/--threads."""
     parser = subparsers.add_parser(name, **kwargs)
     parser.set_defaults(handler=handler, command=command)
-    _add_common(parser)
+    parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    if budget:
+        parser.add_argument(
+            "--budget", type=int, default=None, help="override enumeration budgets"
+        )
+    if threads:
+        parser.add_argument(
+            "--threads", type=int, default=1, help="worker process cap (default 1)"
+        )
     return parser
 
 
@@ -422,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--set", required=True, help="members of T, e.g. \"0,4,5,6\"")
     p = _leaf(st_sub, "equiv", _cmd_st_equiv, "st equiv",
+              budget=True, threads=True,
               help="exhaustively check special T <=> valid S_T at one (n, s)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
@@ -429,10 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     special = top.add_parser("special", help="special offset windows")
     special_sub = special.add_subparsers(dest="subcommand", required=True)
     p = _leaf(special_sub, "enum", _cmd_special_enum, "special enum",
+              budget=True, threads=True,
               help="enumerate all t-special sets")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     p = _leaf(special_sub, "predict", _cmd_special_predict, "special predict",
+              budget=True,
               help="asymptotic count of one size class in Z_p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
@@ -460,14 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
     search = top.add_parser("search", help="exhaustive ground truth")
     search_sub = search.add_subparsers(dest="subcommand", required=True)
     p = _leaf(search_sub, "exhaustive", _cmd_search_exhaustive, "search exhaustive",
+              budget=True, threads=True,
               help="all symmetric complete sum-free sets in Z_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--classes", action="store_true")
     p = _leaf(search_sub, "maxsumfree", _cmd_search_maxsumfree, "search maxsumfree",
+              budget=True,
               help="all maximum sum-free sets in Z_p")
     p.add_argument("--p", type=int, required=True)
     p = _leaf(search_sub, "probe", _cmd_search_probe, "search probe",
+              budget=True, threads=True,
               help="catalog vs construction evidence at one (p, s)")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
@@ -488,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = top.add_parser("simulate", help="random sum-free process")
     simulate_sub = simulate.add_subparsers(dest="subcommand", required=True)
     p = _leaf(simulate_sub, "cameron", _cmd_simulate_cameron, "simulate cameron",
+              threads=True,
               help="seeded Monte Carlo runs of the join-with-probability-1/2 process")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
@@ -527,7 +519,16 @@ def dispatch(argv: List[str]) -> CommandEnvelope:
 
 def main(argv: Optional[List[str]] = None) -> int:
     envelope = dispatch(sys.argv[1:] if argv is None else argv)
-    print(envelope.rendered(pretty=envelope.arguments.get("pretty", False)))
+    try:
+        print(envelope.rendered(pretty=envelope.arguments.get("pretty", False)))
+        # a reader that closed the pipe early shows up here, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush has nowhere to fail (recipe from the signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     for key, value in envelope.diagnostics.items():
         print(f"{key}: {value}", file=sys.stderr)
     return envelope.exit_status

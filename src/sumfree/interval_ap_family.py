@@ -308,15 +308,13 @@ def density_choice(
     return min(candidates, key=lambda p: (abs(p.size - alpha * n), p.size))
 
 
-def nearest_density_set(
-    n: int, alpha: float, *, refine: bool = True, checked: bool = True
-) -> CyclicSet:
+def nearest_density_set(n: int, alpha: float, *, refine: bool = True) -> CyclicSet:
     """A constructed set whose density |S|/n is as close to alpha as the
     family allows; the gap is O(1/sqrt(n)) and much smaller for alpha
     near 1/3."""
-    return build_small(density_choice(n, alpha, refine=refine), checked=checked)
+    return build_small(density_choice(n, alpha, refine=refine))
 
 
-def smallest_set(n: int, *, checked: bool = True) -> CyclicSet:
+def smallest_set(n: int) -> CyclicSet:
     """The base rung: size 2(d0+k0+t0) - 7 for even n, - 6 for odd."""
-    return build_small(size_ladder(n).rungs[0], checked=checked)
+    return build_small(size_ladder(n).rungs[0])

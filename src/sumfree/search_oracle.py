@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
+from ._bits import rotate
 from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
 from .errors import BudgetExceededError, ConstructionError, DomainError
@@ -106,10 +107,6 @@ def _pair_orbits(n: int) -> List[int]:
     return orbits
 
 
-def _rot(bits: int, r: int, n: int) -> int:
-    return ((bits << r) | (bits >> (n - r))) & ((1 << n) - 1)
-
-
 def _scsf_dfs(
     n: int,
     orbits: List[int],
@@ -137,7 +134,7 @@ def _scsf_dfs(
     new_s = s_bits | orbit
     new_ss = ss_bits
     for x in _orbit_shifts(orbit, n):
-        new_ss |= _rot(new_s, x, n)
+        new_ss |= rotate(new_s, x, n)
     if new_s & new_ss == 0:
         _scsf_dfs(n, orbits, suffix, index + 1, new_s, new_ss, size_filter, out)
 
@@ -164,7 +161,7 @@ def _scsf_shard(
             continue
         s_bits |= orbits[i]
         for x in _orbit_shifts(orbits[i], n):
-            ss_bits |= _rot(s_bits, x, n)
+            ss_bits |= rotate(s_bits, x, n)
         if s_bits & ss_bits:
             return []
     out: List[int] = []
@@ -183,7 +180,9 @@ def exhaustive_scsf(
 
     Candidates are subsets of the negation orbits (0 is never sum-free),
     searched depth-first with the partial sumset carried along; sum-free
-    failures prune, completeness is checked at the leaves.
+    failures prune, completeness is checked at the leaves.  Each shard fixes
+    the choice on the first (up to) six orbits; one worker runs the shards
+    in-process.
     """
     require_workers(workers)
     if n < 1:
@@ -197,15 +196,11 @@ def exhaustive_scsf(
             required=cost,
             limit=limit,
         )
-    orbits = _pair_orbits(n)
-    if workers <= 1 or len(orbits) < 4:
-        found = _scsf_shard(n, 0, 0, size_filter)
-    else:
-        prefix = min(6, len(orbits))
-        shards = [(n, prefix, choice, size_filter) for choice in range(1 << prefix)]
-        found = []
-        for part in run_sharded(_scsf_shard, shards, workers):
-            found.extend(part)
+    prefix = min(6, len(_pair_orbits(n)))
+    shards = [(n, prefix, choice, size_filter) for choice in range(1 << prefix)]
+    found = []
+    for part in run_sharded(_scsf_shard, shards, workers):
+        found.extend(part)
     members = tuple(CyclicSet(n, bits) for bits in sorted(found))
     for member in members:
         props = classify(member)
@@ -275,9 +270,9 @@ def _max_sum_free_extend(
         new_s = s_bits | low
         new_neg = neg_bits | (1 << (p - x))
         forbidden = (
-            _rot(new_s, x, p)
-            | _rot(new_s, p - x, p)
-            | _rot(new_neg, x, p)
+            rotate(new_s, x, p)
+            | rotate(new_s, p - x, p)
+            | rotate(new_neg, x, p)
             | (1 << (inv2 * x % p))
         )
         # only explore y > x to the right; smaller y belong to earlier branches

@@ -16,18 +16,13 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
 from .errors import BudgetExceededError, DomainError, ParameterError
-from .st_family import (
-    TCandidate,
-    _completeness_condition_mask,
-    _sum_free_condition_mask,
-)
+from .st_family import TCandidate, _is_special_mask
 
 __all__ = [
     "SpecialEnumeration",
     "PredictedCount",
     "is_t_special",
     "enumerate_special",
-    "g_value",
     "lower_bound_index_range",
     "lower_bound_family",
     "iter_lower_bound_family",
@@ -60,11 +55,7 @@ def is_t_special(T: TCandidate) -> bool:
     Conditions are evaluated in that order; the coverage condition is only
     consulted for nonempty sets, so the predicate is total.
     """
-    if T.size != T.t:
-        return False
-    if not _sum_free_condition_mask(T.mask, T.t):
-        return False
-    return _completeness_condition_mask(T.mask, T.t)
+    return _is_special_mask(T.mask, T.t)
 
 
 def _sized_masks(k: int, width: int) -> Iterator[int]:
@@ -91,7 +82,7 @@ def _enumerate_shard(t: int, high_bit: int) -> List[int]:
     top = 1 << high_bit
     for sub in _sized_masks(t - 1, high_bit):
         mask = top | sub
-        if _sum_free_condition_mask(mask, t) and _completeness_condition_mask(mask, t):
+        if _is_special_mask(mask, t):
             out.append(mask)
     return out
 
@@ -126,11 +117,6 @@ def enumerate_special(
     for shard_masks in run_sharded(_enumerate_shard, shards, workers):
         masks.extend(shard_masks)
     return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in masks))
-
-
-def g_value(t: int, *, budget: Optional[int] = None) -> int:
-    """Number of t-special sets, by enumeration."""
-    return enumerate_special(t, budget=budget).g
 
 
 def lower_bound_index_range(t: int) -> range:
@@ -215,7 +201,7 @@ def predicted_scsf_count(
         k = (p - 2) // 3
         t = 3 * r
         size = k - 2 * r + 1
-    g = g_value(t, budget=budget)
+    g = enumerate_special(t, budget=budget).g
     return PredictedCount(
         p=p,
         r=r,

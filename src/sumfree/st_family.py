@@ -8,7 +8,10 @@ integer, every subset T of [0, 2t - 1] yields the symmetric set
 Whether S_T is sum-free or complete reduces to plain integer conditions on
 T; this module provides the construction, the two conditions, and an
 exhaustive verifier that replays the reduction against the group-side
-predicates for every candidate T.
+predicates for every candidate T.  It holds the one t-special test
+(``_is_special_mask``: size t plus both conditions), which ``special_sets``
+uses too, and the one bit layout of S_T (``_st_bits``), which ``build_st``
+and the verifier share.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from ._bits import iter_bits, reverse_mask
+from ._bits import bit_positions, mirror
 from ._parallel import require_workers, run_sharded
 from .errors import (
     BudgetExceededError,
@@ -24,7 +27,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .zn_core import CyclicSet, _negate_bits, _sumset_bits, interval
+from .zn_core import CyclicSet, _sumset_bits, interval
 
 __all__ = [
     "STParameters",
@@ -105,7 +108,7 @@ class TCandidate:
 
     @property
     def members(self) -> Tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
+        return tuple(bit_positions(self.mask))
 
     @property
     def size(self) -> int:
@@ -131,13 +134,13 @@ def _self_sumset_mask(mask: int) -> int:
 
 def _sum_free_condition_mask(mask: int, t: int) -> bool:
     # 2t - 1 in T+T+T  <=>  (T+T) meets the mirror of T within [0, 2t-1]
-    return _self_sumset_mask(mask) & reverse_mask(mask, 2 * t) == 0
+    return _self_sumset_mask(mask) & mirror(mask, 2 * t) == 0
 
 
 def _completeness_condition_mask(mask: int, t: int) -> bool:
     low = (mask & -mask).bit_length() - 1
     required = (1 << (2 * t + low)) - 1
-    mirrored = reverse_mask(mask, 2 * t)
+    mirrored = mirror(mask, 2 * t)
     return required & ~mirrored & ~_self_sumset_mask(mask) == 0
 
 
@@ -156,6 +159,16 @@ def st_completeness_condition(T: TCandidate) -> bool:
     return _completeness_condition_mask(T.mask, T.t)
 
 
+def _st_bits(central: int, mask: int, t: int, s: int) -> int:
+    """Bits of S_T from the central interval's bits and T's 2t-bit mask.
+
+    s + T needs no wrap: s + (2t - 1) = n - 2s < n.  Its negation
+    -(s + i) = n - s - i = 2s + (2t - 1 - i) is T mirrored within 2t bits
+    and shifted up by 2s, again without a wrap.
+    """
+    return central | mask << s | mirror(mask, 2 * t) << 2 * s
+
+
 def build_st(params: STParameters, T: TCandidate) -> CyclicSet:
     """Assemble S_T = central interval u (s + T) u -(s + T) in Z_n."""
     if T.t != params.t:
@@ -163,9 +176,7 @@ def build_st(params: STParameters, T: TCandidate) -> CyclicSet:
     params.require_definition_valid()
     n, s = params.n, params.s
     central = interval(n, n - 2 * s + 1, 2 * s - 1)
-    right = T.mask << s  # s + (2t - 1) = n - 2s < n, so no wrap
-    bits = central.bits | right | _negate_bits(right, n)
-    result = CyclicSet(n, bits)
+    result = CyclicSet(n, _st_bits(central.bits, T.mask, T.t, s))
     # the three pieces are pairwise disjoint whenever the parameters are valid
     if len(result) != 4 * s - n - 1 + 2 * T.size:
         raise ConstructionError(f"pieces of S_T overlap at (n, s) = ({n}, {s})")
@@ -189,6 +200,7 @@ class EquivalenceReport:
 
 
 def _is_special_mask(mask: int, t: int) -> bool:
+    """The t-special test: size t, the sum-free and the completeness condition."""
     return (
         mask.bit_count() == t
         and _sum_free_condition_mask(mask, t)
@@ -200,7 +212,6 @@ def _verify_chunk(n: int, s: int, lo: int, hi: int) -> Tuple[int, list]:
     params = STParameters(n, s)
     t = params.t
     central = interval(n, n - 2 * s + 1, 2 * s - 1).bits
-    neg_bit = [1 << (n - s - i) for i in range(2 * t)]
     group_mask = (1 << n) - 1
     special_count = 0
     counterexamples = []
@@ -208,9 +219,7 @@ def _verify_chunk(n: int, s: int, lo: int, hi: int) -> Tuple[int, list]:
         special = _is_special_mask(mask, t)
         if special:
             special_count += 1
-        bits = central | (mask << s)
-        for i in iter_bits(mask):
-            bits |= neg_bit[i]
+        bits = _st_bits(central, mask, t, s)
         ss = _sumset_bits(bits, bits, n)
         group_side = (
             ss & bits == 0
@@ -218,7 +227,7 @@ def _verify_chunk(n: int, s: int, lo: int, hi: int) -> Tuple[int, list]:
             and bits.bit_count() == s
         )
         if special != group_side:
-            counterexamples.append(tuple(iter_bits(mask)))
+            counterexamples.append(tuple(bit_positions(mask)))
     return special_count, counterexamples
 
 

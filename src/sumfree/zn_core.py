@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List
 
-from ._bits import bit_positions, bits_from_positions
+from ._bits import bit_positions, bits_from_positions, mirror, rotate
 from .errors import (
     DomainError,
     IntervalCoversGroupError,
@@ -167,15 +167,9 @@ def _sumset_bits(a_bits: int, b_bits: int, n: int) -> int:
     return acc & ((1 << n) - 1)
 
 
-def _mirror_bits(bits: int, n: int) -> int:
-    """Bit p moves to bit n - 1 - p (the membership string reversed)."""
-    return int(format(bits, f"0{n}b")[::-1], 2)
-
-
 def _negate_bits(bits: int, n: int) -> int:
     # the mirror puts p at n - 1 - p; rotating left by one lands it on -p mod n
-    mirrored = _mirror_bits(bits, n)
-    return ((mirrored << 1) | (mirrored >> (n - 1))) & ((1 << n) - 1)
+    return rotate(mirror(bits, n), 1, n)
 
 
 def interval(n: int, a: int, b: int) -> CyclicSet:
@@ -325,7 +319,7 @@ def canonical_dilation_class(a: CyclicSet) -> CyclicSet:
     # upward is the numeric order of the mirrored mask; units(n) is never empty
     best = min(
         (dilate(a, u).bits for u in units(n)),
-        key=lambda bits: _mirror_bits(bits, n),
+        key=lambda bits: mirror(bits, n),
     )
     return CyclicSet(n, best)
 

@@ -6,11 +6,18 @@ on stderr.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sumfree
 from sumfree.cli import dispatch, main
 from sumfree.zn_core import classify, set_from_json
+
+
+SRC = os.path.dirname(os.path.dirname(sumfree.__file__))
 
 
 def run(capsys, *argv):
@@ -143,13 +150,6 @@ def test_small_build_golden(capsys):
     assert code == 0
     assert payload["n"] == 27
     assert payload["set"]["elements"] == [8, 10, 12, 13, 14, 15, 17, 19]
-
-
-def test_small_build_fast_same_set(capsys):
-    argv = ["small", "build", "--t", "2", "--d", "3", "--k", "5", "--variant", "14"]
-    _, checked = run_json(capsys, *argv)
-    _, fast = run_json(capsys, *argv, "--fast")
-    assert checked == fast
 
 
 def test_ladder_n1000(capsys):
@@ -287,15 +287,37 @@ def test_simulate_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+WORKER_COMMANDS = [
+    ["st", "equiv", "--n", "61", "--s", "18"],
+    ["special", "enum", "--t", "3"],
+    ["search", "exhaustive", "--n", "8"],
+    ["search", "probe", "--p", "29", "--s", "8"],
+    ["simulate", "cameron", "--horizon", "50", "--trials", "3", "--seed", "1"],
+]
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_rejected(capsys, threads):
-    # refused before the trial loop; no worker process is started
-    code, payload = run_json(
-        capsys, "simulate", "cameron", "--horizon", "50", "--trials", "3",
-        "--seed", "1", "--threads", threads,
-    )
-    assert code == 1
-    assert payload["error"]["type"] == "ParameterError"
+    # refused before any search or trial loop; no worker process is started
+    for argv in WORKER_COMMANDS:
+        code, payload = run_json(capsys, *argv, "--threads", threads)
+        assert code == 1, argv
+        assert payload["error"]["type"] == "ParameterError", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "8", "--set", "3,4,5", "--threads", "1"],
+        ["ladder", "--n", "1000", "--budget", "1"],
+        ["small", "build", "--t", "2", "--d", "3", "--k", "5", "--variant", "14",
+         "--fast"],
+    ],
+)
+def test_flags_only_where_they_act(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_simulate_mod_needs_set(capsys):
@@ -333,27 +355,31 @@ def test_identical_argv_identical_bytes(capsys):
     assert first == second
 
 
-def test_budget_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("SUMFREE_BUDGET", "100")
-    code, payload = run_json(capsys, "st", "equiv", "--n", "61", "--s", "18")
+def test_budget_flag_sets_limit(capsys):
+    # the sweep at (61, 18) has 4**4 = 256 candidates
+    argv = ["st", "equiv", "--n", "61", "--s", "18", "--budget"]
+    code, payload = run_json(capsys, *argv, "100")
     assert code == 1
     assert payload["error"]["type"] == "BudgetExceededError"
-
-
-def test_budget_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("SUMFREE_BUDGET", "100")
-    code, payload = run_json(
-        capsys, "st", "equiv", "--n", "61", "--s", "18", "--budget", "300"
-    )
+    code, payload = run_json(capsys, *argv, "300")
     assert code == 0
     assert payload["ok"] is True
 
 
-def test_bad_budget_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("SUMFREE_BUDGET", "lots")
-    code, payload = run_json(capsys, "st", "equiv", "--n", "61", "--s", "18")
-    assert code == 1
-    assert "SUMFREE_BUDGET" in payload["error"]["message"]
+def test_closed_stdout_is_quiet():
+    # the reader takes 80 bytes of a ~2.4 MB payload and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sumfree", "ladder", "--n", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    proc.stdout.read(80)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
 
 
 def test_threads_flag_does_not_change_output(capsys):

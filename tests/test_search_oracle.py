@@ -8,6 +8,7 @@ import pytest
 
 from sumfree.errors import BudgetExceededError, DomainError
 from sumfree.search_oracle import (
+    _scsf_shard,
     brute_special,
     characterization_probe,
     exhaustive_max_sum_free,
@@ -91,7 +92,14 @@ def test_catalog_size_filter_consistent():
 
 
 def test_catalog_workers_agree():
-    assert exhaustive_scsf(18, workers=3) == exhaustive_scsf(18)
+    # one worker runs the prefix shards in-process, three run them in a pool;
+    # both give what one unsharded depth-first search (no prefix) finds
+    for n in range(1, 31):
+        for size_filter in (None, 4, 6):
+            single = exhaustive_scsf(n, size_filter)
+            unsharded = sorted(_scsf_shard(n, 0, 0, size_filter))
+            assert [m.bits for m in single.members] == unsharded
+            assert exhaustive_scsf(n, size_filter, workers=3) == single
 
 
 def test_catalog_budget_refusal():

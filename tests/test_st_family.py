@@ -132,11 +132,14 @@ def test_build_rejects_definition_invalid():
         build_st(params, TCandidate(params.t, 0))
 
 
-@pytest.mark.parametrize("n,s", [(61, 18), (55, 16), (27, 8)])
+@pytest.mark.parametrize("n,s", [(61, 18), (55, 16), (27, 8), (45, 12)])
 def test_build_symmetric_and_confined(n, s):
     params = STParameters(n, s)
+    central = set(range(n - 2 * s + 1, 2 * s))
     for T in all_candidates(params.t):
         S = build_st(params, T)
+        shifted = {s + x for x in T.members}
+        assert S.elements() == sorted(central | shifted | {n - y for y in shifted})
         assert negate(S).bits == S.bits
         assert all(s <= x <= n - s for x in S)
         assert S.size == 4 * s - n - 1 + 2 * T.size

@@ -4,6 +4,9 @@ The library computes sumsets run by run: each maximal run of consecutive
 members spreads the other operand by doubling shift-ORs.  Two oracles
 check it: the naive double loop over element lists, and the per-member
 shifted OR (one wrapped rotation per member) that the run kernel replaced.
+The byte-table mirror behind negation and the canonical dilation order is
+checked against the reversed membership string, and the rotation against
+the per-bit definition.
 """
 
 import random
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree._bits import bit_positions
+from sumfree._bits import bit_positions, bits_from_positions, mirror, rotate
 from sumfree.errors import (
     DomainError,
     IntervalCoversGroupError,
@@ -63,6 +66,11 @@ def shift_or_sumset_bits(a_bits, b_bits, n):
         else:
             acc |= b_bits
     return acc & ((1 << n) - 1)
+
+
+def string_mirror_bits(bits, width):
+    """Bit i moves to bit width - 1 - i: the membership string reversed."""
+    return int(format(bits, f"0{width}b")[::-1], 2)
 
 
 def assert_sumset_matches_oracles(n, a_bits, b_bits):
@@ -262,6 +270,36 @@ def test_ladder_rungs_sum_to_their_complement(n):
         S = build_small(params, checked=False)
         assert sumset(S, S).bits == S.complement().bits
         assert shift_or_sumset_bits(S.bits, S.bits, n) == S.complement().bits
+
+
+# --- bit helpers ---
+
+
+@given(
+    st.integers(min_value=1, max_value=300).flatmap(
+        lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=(1 << w) - 1))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_mirror_matches_string_reversal(case):
+    width, bits = case
+    assert mirror(bits, width) == string_mirror_bits(bits, width)
+
+
+def test_mirror_matches_string_reversal_at_scale():
+    width = 10**5
+    top = 1 << (width - 1)
+    for bits in (0, 1, top, top | 1, (1 << width) - 1, random.Random(5).getrandbits(width)):
+        assert mirror(bits, width) == string_mirror_bits(bits, width)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 65])
+def test_rotate_matches_per_bit_definition(n):
+    rng = random.Random(n)
+    for bits in (0, 1, 1 << (n - 1), (1 << n) - 1, rng.getrandbits(n)):
+        for r in range(n + 1):
+            moved = ((p + r) % n for p in bit_positions(bits))
+            assert rotate(bits, r, n) == bits_from_positions(n, moved)
 
 
 # --- negate / dilate ---
