@@ -21,8 +21,8 @@ from .errors import BudgetExceededError, ConstructionError, DomainError
 from .special_sets import (
     PredictedCount,
     SpecialEnumeration,
+    _predicted_count,
     enumerate_special,
-    predicted_scsf_count,
 )
 from .st_family import STParameters, TCandidate, build_st
 from .zn_core import (
@@ -371,10 +371,11 @@ def characterization_probe(
                 base = build_st(params, T)
                 for u in units(p):
                     construction_bits.add(dilate(base, u).bits)
+        # the size class whose window is this t reuses the enumeration above
         if p % 3 == 1 and t % 3 == 1 and t >= 4:
-            predicted = predicted_scsf_count(p, (t - 1) // 3, budget=budget)
+            predicted = _predicted_count(p, (t - 1) // 3, specials)
         elif p % 3 == 2 and t % 3 == 0:
-            predicted = predicted_scsf_count(p, t // 3, budget=budget)
+            predicted = _predicted_count(p, t // 3, specials)
 
     matched = catalog_bits & construction_bits
     catalog_only = tuple(

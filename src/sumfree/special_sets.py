@@ -5,6 +5,14 @@ three members (repetition allowed) and [0, 2t - 1 + min T] \\ (2t - 1 - T)
 is covered by T + T.  These are exactly the offset windows that make the
 central-interval construction symmetric, complete and sum-free in the
 proven parameter range.
+
+``enumerate_special`` finds them by a depth-first search over the positions
+0..2t-1 that carries T, T + T and T + T + T as bit masks.  The triple-sum
+condition holds for every subset of a set that satisfies it, so a branch is
+cut once 2t - 1 lies in T + T + T, and also once too few positions remain
+to reach size t.  Every size-t leaf gets the one t-special test,
+``st_family._is_special_mask``.  The budget is still the projected count
+C(2t, t) of size-t candidates, although the search visits far fewer nodes.
 """
 
 from __future__ import annotations
@@ -58,32 +66,47 @@ def is_t_special(T: TCandidate) -> bool:
     return _is_special_mask(T.mask, T.t)
 
 
-def _sized_masks(k: int, width: int) -> Iterator[int]:
-    """All width-bit masks with exactly k bits, ascending (Gosper's hack)."""
-    if k == 0:
-        yield 0
-        return
-    if k > width:
-        return
-    m = (1 << k) - 1
-    top = m << (width - k)
-    while True:
-        yield m
-        if m == top:
-            return
-        c = m & -m
-        r = m + c
-        m = r | (((m ^ r) >> 2) // c)
+# the search shards on the include/exclude choices of the lowest positions
+_SHARD_PREFIX = 6
 
 
-def _enumerate_shard(t: int, high_bit: int) -> List[int]:
-    """Special masks whose highest set bit is exactly high_bit, ascending."""
-    out = []
-    top = 1 << high_bit
-    for sub in _sized_masks(t - 1, high_bit):
-        mask = top | sub
-        if _is_special_mask(mask, t):
-            out.append(mask)
+def _with_member(x: int, T: int, T2: int, T3: int) -> Tuple[int, int, int]:
+    """T, T + T and T + T + T (integer sums, as bit masks) after adding x to T."""
+    return (
+        T | 1 << x,
+        T2 | T << x | 1 << 2 * x,
+        T3 | T2 << x | T << 2 * x | 1 << 3 * x,
+    )
+
+
+def _special_dfs(
+    t: int, x: int, size: int, T: int, T2: int, T3: int, out: List[int]
+) -> None:
+    """Decide positions x..2t-1; append the t-special completions of T to out."""
+    if size == t:
+        if _is_special_mask(T, t):
+            out.append(T)
+        return
+    if 2 * t - x < t - size:
+        return
+    _special_dfs(t, x + 1, size, T, T2, T3, out)
+    T, T2, T3 = _with_member(x, T, T2, T3)
+    # T + T + T only grows, so once it holds 2t - 1 no superset is special
+    if not T3 >> (2 * t - 1) & 1:
+        _special_dfs(t, x + 1, size + 1, T, T2, T3, out)
+
+
+def _special_shard(t: int, prefix: int, choice: int) -> List[int]:
+    """Special masks whose positions below prefix are the bits of choice."""
+    T = T2 = T3 = 0
+    for x in range(prefix):
+        if choice >> x & 1:
+            T, T2, T3 = _with_member(x, T, T2, T3)
+    size = T.bit_count()
+    if size > t or T3 >> (2 * t - 1) & 1:
+        return []
+    out: List[int] = []
+    _special_dfs(t, prefix, size, T, T2, T3, out)
     return out
 
 
@@ -93,11 +116,19 @@ def enumerate_special(
     budget: Optional[int] = None,
     workers: int = 1,
 ) -> SpecialEnumeration:
-    """Stream all size-t candidates and keep the t-special ones.
+    """All t-special sets, by a pruned depth-first search over [0, 2t - 1].
 
-    Only size-t subsets are generated; the triple-sum condition is checked
-    before the coverage condition.  Cost is C(2t, t) candidates, refused
-    when it exceeds the budget.
+    Each node decides whether one position x (0 first) joins T and carries
+    T, T + T and T + T + T as bit masks.  A branch is cut as soon as
+    2t - 1 lies in T + T + T (every superset then fails the triple-sum
+    condition too) or too few positions remain to reach size t.  Each
+    size-t leaf gets the full t-special test, so the search only skips
+    branches and never accepts a set by itself.  Shards fix the choices on
+    the lowest positions; one worker runs them in-process, and the sorted
+    union does not depend on the worker count.
+
+    The budget is the projected C(2t, t) size-t candidates, refused up
+    front when it exceeds the limit, although the search visits far fewer.
     """
     require_workers(workers)
     if t < 1:
@@ -110,13 +141,12 @@ def enumerate_special(
             required=cost,
             limit=limit,
         )
-    # masks with highest bit h sort strictly below those with highest bit h+1,
-    # so per-shard ascending order concatenates to global ascending order
-    shards = [(t, h) for h in range(t - 1, 2 * t)]
+    prefix = min(_SHARD_PREFIX, 2 * t)
+    shards = [(t, prefix, choice) for choice in range(1 << prefix)]
     masks: List[int] = []
-    for shard_masks in run_sharded(_enumerate_shard, shards, workers):
+    for shard_masks in run_sharded(_special_shard, shards, workers):
         masks.extend(shard_masks)
-    return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in masks))
+    return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in sorted(masks)))
 
 
 def lower_bound_index_range(t: int) -> range:
@@ -193,20 +223,24 @@ def predicted_scsf_count(
         raise DomainError("p must be 1 or 2 mod 3")
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
+    t = 3 * r + 1 if p % 3 == 1 else 3 * r
+    return _predicted_count(p, r, enumerate_special(t, budget=budget))
+
+
+def _predicted_count(p: int, r: int, specials: SpecialEnumeration) -> PredictedCount:
+    """The counting formula for a checked (p, r), from the windows of its t."""
     if p % 3 == 1:
         k = (p - 1) // 3
-        t = 3 * r + 1
         size = k - 2 * r
     else:
         k = (p - 2) // 3
-        t = 3 * r
         size = k - 2 * r + 1
-    g = enumerate_special(t, budget=budget).g
+    g = specials.g
     return PredictedCount(
         p=p,
         r=r,
         k=k,
-        t=t,
+        t=specials.t,
         g=g,
         size=size,
         count=(p - 1) // 2 * g,

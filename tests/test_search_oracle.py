@@ -14,7 +14,7 @@ from sumfree.search_oracle import (
     exhaustive_max_sum_free,
     exhaustive_scsf,
 )
-from sumfree.special_sets import enumerate_special
+from sumfree.special_sets import enumerate_special, predicted_scsf_count
 from sumfree.zn_core import (
     CyclicSet,
     canonical_dilation_class,
@@ -199,6 +199,15 @@ def test_probe_p43_prediction_matches():
     assert report.exact_match
     assert report.predicted.count == 84
     assert report.predicted.size == 12
+
+
+@pytest.mark.parametrize("p,s", [(29, 8), (31, 10), (37, 12), (41, 12), (43, 12)])
+def test_probe_prediction_is_predicted_scsf_count(p, s):
+    # the probe reuses its own enumeration for the prediction
+    report = characterization_probe(p, s)
+    if report.predicted is not None:
+        assert report.predicted.t == report.t
+        assert report.predicted == predicted_scsf_count(p, report.predicted.r)
 
 
 def test_probe_no_window():

@@ -1,7 +1,8 @@
 """Special-set predicate, enumeration, family, and counting tests.
 
-The enumeration's streamed/sharded output is compared against the literal
-all-subsets brute force from search_oracle.
+The pruned, sharded search is compared against two oracles: the literal
+all-subsets brute force from search_oracle, and the stream over every
+size-t mask that the search replaced (``stream_special_masks`` below).
 """
 
 import pytest
@@ -18,12 +19,14 @@ from sumfree.special_sets import (
 )
 from sumfree.st_family import (
     TCandidate,
+    _is_special_mask,
     st_completeness_condition,
     st_sum_free_condition,
 )
 
-# computed once by the brute force below and pinned
-G_TABLE = {1: 1, 2: 1, 3: 2, 4: 4, 5: 3, 6: 7, 7: 10, 8: 10}
+# t <= 8 computed once by the brute force below, t = 9..11 by the stream
+# over all size-t masks, and pinned
+G_TABLE = {1: 1, 2: 1, 3: 2, 4: 4, 5: 3, 6: 7, 7: 10, 8: 10, 9: 18, 10: 30, 11: 22}
 
 
 def T(t, members):
@@ -54,6 +57,22 @@ def test_zero_fast_agrees_on_its_domain(t):
         cand = TCandidate(t, mask)
         if cand.size == t and st_sum_free_condition(cand):
             assert st_completeness_condition(cand)
+
+
+def stream_special_masks(t):
+    """Every size-t mask of width 2t in ascending order (Gosper's hack), filtered."""
+    width = 2 * t
+    m = (1 << t) - 1
+    top = m << (width - t)
+    out = []
+    while True:
+        if _is_special_mask(m, t):
+            out.append(m)
+        if m == top:
+            return out
+        c = m & -m
+        r = m + c
+        m = r | (((m ^ r) >> 2) // c)
 
 
 # --- enumeration ---
@@ -88,8 +107,17 @@ def test_enumerate_matches_brute_force(t):
     assert enumerate_special(t) == brute_special(t)
 
 
+@pytest.mark.parametrize("t", range(1, 11))
+def test_enumerate_matches_mask_stream(t):
+    assert [cand.mask for cand in enumerate_special(t).sets] == stream_special_masks(t)
+
+
 def test_enumerate_workers_agree():
-    assert enumerate_special(6, workers=3) == enumerate_special(6)
+    # t = 1, 2: the window is narrower than the shard prefix
+    for t in range(1, 11):
+        one = enumerate_special(t)
+        for workers in (2, 3):
+            assert enumerate_special(t, workers=workers) == one
 
 
 def test_enumerate_budget_refusal():
@@ -142,6 +170,13 @@ def test_family_members_are_special_and_distinct(t):
 @pytest.mark.parametrize("t", range(1, 9))
 def test_g_respects_doubling_lower_bound(t):
     assert G_TABLE[t] >= 1 << (t // 3)
+
+
+@pytest.mark.parametrize("t", range(1, 15))
+def test_search_finds_the_doubling_family(t):
+    found = set(enumerate_special(t).sets)
+    assert all(cand in found for cand in iter_lower_bound_family(t))
+    assert len(found) >= 1 << (t // 3)
 
 
 # --- counting formula ---
