@@ -33,6 +33,7 @@ from .interval_ap_family import (
     size_ladder,
 )
 from .search_oracle import (
+    DilationClass,
     characterization_probe,
     exhaustive_max_sum_free,
     exhaustive_scsf,
@@ -222,6 +223,13 @@ def _cmd_density(args: argparse.Namespace) -> Result:
     return payload, 0, {}, False
 
 
+def _classes_json(classes: Tuple[DilationClass, ...]) -> List[Dict[str, object]]:
+    return [
+        {"representative": set_to_json(c.representative), "orbit_size": c.orbit_size}
+        for c in classes
+    ]
+
+
 def _cmd_search_exhaustive(args: argparse.Namespace) -> Result:
     catalog = exhaustive_scsf(
         args.n, size_filter=args.size, budget=args.budget, workers=args.threads
@@ -233,13 +241,7 @@ def _cmd_search_exhaustive(args: argparse.Namespace) -> Result:
         "members": [set_to_json(member) for member in catalog.members],
     }
     if args.classes:
-        payload["classes"] = [
-            {
-                "representative": set_to_json(cls.representative),
-                "orbit_size": cls.orbit_size,
-            }
-            for cls in catalog.classes
-        ]
+        payload["classes"] = _classes_json(catalog.classes)
     return payload, 0, {}, False
 
 
@@ -250,13 +252,7 @@ def _cmd_search_maxsumfree(args: argparse.Namespace) -> Result:
         "max_size": catalog.max_size,
         "count": len(catalog.members),
         "members": [set_to_json(member) for member in catalog.members],
-        "classes": [
-            {
-                "representative": set_to_json(cls.representative),
-                "orbit_size": cls.orbit_size,
-            }
-            for cls in catalog.classes
-        ],
+        "classes": _classes_json(catalog.classes),
     }
     return payload, 0, {}, False
 

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
 from .errors import ConstructionError, DomainError, ParameterError
-from .zn_core import (
-    CyclicSet,
-    classify,
-    interval,
-    negate,
-    sumset,
-)
+from .zn_core import CyclicSet, classify, interval, negate
 
 __all__ = [
     "IntervalAPParameters",
@@ -30,13 +24,9 @@ __all__ = [
     "N_MIN",
     "component_sets",
     "build_small",
-    "gap_fill_check",
-    "bc_interval_check",
     "solve_parameters",
     "size_ladder",
-    "nearest_density_set",
     "density_choice",
-    "smallest_set",
 ]
 
 # Least n for which solve_parameters succeeds on all of [n, n + 1000],
@@ -139,32 +129,6 @@ def build_small(params: IntervalAPParameters, *, checked: bool = True) -> Cyclic
                 f"constructed set fails verification for {params}: {props}"
             )
     return result
-
-
-def gap_fill_check(params: IntervalAPParameters) -> bool:
-    """-B and A+B are disjoint and tile one closed-form interval."""
-    n, t, d = params.n, params.t, params.d
-    A, B, _ = component_sets(params)
-    neg_b = negate(B)
-    ab = sumset(A, B)
-    lo = (n + 1) // 2 + t + 2 * d - 2
-    hi = _half_even(3 * n // 2 - t - 1) - d + 1
-    expected = interval(n, lo, hi)
-    return neg_b.bits & ab.bits == 0 and neg_b.bits | ab.bits == expected.bits
-
-
-def bc_interval_check(params: IntervalAPParameters) -> bool:
-    """B+C equals its closed-form interval; needs |C| >= d to tile."""
-    if not params.hypothesis_ok:
-        raise ConstructionError(
-            f"hypothesis |C| >= d fails: |C| = {params.c_size} < d = {params.d}"
-        )
-    n, t, d = params.n, params.t, params.d
-    _, B, C = component_sets(params)
-    bc = sumset(B, C)
-    lo = _half_even(3 * n // 2 - t + 1) + 2 * d - 2
-    hi = n - 2 * d + 2
-    return bc.bits == interval(n, lo, hi).bits
 
 
 class SolvedParameters(NamedTuple):
@@ -306,15 +270,3 @@ def density_choice(
     if refine:
         candidates.extend(_refined_candidates(n, alpha * n))
     return min(candidates, key=lambda p: (abs(p.size - alpha * n), p.size))
-
-
-def nearest_density_set(n: int, alpha: float, *, refine: bool = True) -> CyclicSet:
-    """A constructed set whose density |S|/n is as close to alpha as the
-    family allows; the gap is O(1/sqrt(n)) and much smaller for alpha
-    near 1/3."""
-    return build_small(density_choice(n, alpha, refine=refine))
-
-
-def smallest_set(n: int) -> CyclicSet:
-    """The base rung: size 2(d0+k0+t0) - 7 for even n, - 6 for odd."""
-    return build_small(size_ladder(n).rungs[0])

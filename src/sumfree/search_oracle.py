@@ -1,30 +1,23 @@
-"""Brute-force ground truth for the constructions.
+"""Exhaustive ground truth for the constructions.
 
-Exhaustive catalogs of symmetric complete sum-free sets for small moduli,
-literal re-enumeration of the special offset windows, maximum sum-free sets
-for small primes, and evidence reports comparing catalogs against the
-dilation closure of the central-interval construction.  Everything here
-favours obviousness over speed; the constructions are tested against it,
+Catalogs of symmetric complete sum-free sets for small moduli, maximum
+sum-free sets for small primes, and evidence reports comparing catalogs
+against the dilation closure of the central-interval construction.  The
+searches are exhaustive, so the constructions are tested against them,
 never the other way round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from ._bits import rotate
 from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
 from .errors import BudgetExceededError, ConstructionError, DomainError
-from .special_sets import (
-    PredictedCount,
-    SpecialEnumeration,
-    _predicted_count,
-    enumerate_special,
-)
-from .st_family import STParameters, TCandidate, build_st
+from .special_sets import PredictedCount, _predicted_count, enumerate_special
+from .st_family import STParameters, build_st
 from .zn_core import (
     CyclicSet,
     canonical_dilation_class,
@@ -39,18 +32,14 @@ __all__ = [
     "DilationClass",
     "ProbeReport",
     "exhaustive_scsf",
-    "brute_special",
     "exhaustive_max_sum_free",
     "characterization_probe",
     "DEFAULT_SCSF_BUDGET",
-    "DEFAULT_BRUTE_BUDGET",
     "DEFAULT_MAX_PRIME",
 ]
 
 # 2^(n//2) symmetric candidates: n <= 44 by default
 DEFAULT_SCSF_BUDGET = 1 << 22
-# 4^t unpruned subsets: t <= 8 by default
-DEFAULT_BRUTE_BUDGET = 1 << 16
 DEFAULT_MAX_PRIME = 43
 
 
@@ -207,41 +196,6 @@ def exhaustive_scsf(
         if not (props.symmetric and props.sum_free and props.complete):
             raise ConstructionError(f"search returned a non-member {member}: {props}")
     return Catalog(n, size_filter, members, _group_into_classes(members))
-
-
-def brute_special(t: int, *, budget: Optional[int] = None) -> SpecialEnumeration:
-    """Re-enumerate the special windows straight from the definition.
-
-    Every subset of [0, 2t-1] is tested with plain set arithmetic: size t,
-    no triple summing to 2t-1, and coverage of [0, 2t-1+min T] outside the
-    mirror 2t-1-T by pair sums.  Quadratically slower than the bit-mask
-    route, which is the point.
-    """
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
-    cost = 1 << (2 * t)
-    limit = DEFAULT_BRUTE_BUDGET if budget is None else budget
-    if cost > limit:
-        raise BudgetExceededError(
-            f"brute enumeration at t = {t} means {cost} subsets, budget is {limit}",
-            required=cost,
-            limit=limit,
-        )
-    width = 2 * t
-    found = []
-    for mask in range(1 << width):
-        members = [i for i in range(width) if mask >> i & 1]
-        if len(members) != t:
-            continue
-        triples = {a + b + c for a, b, c in product(members, repeat=3)}
-        if 2 * t - 1 in triples:
-            continue
-        pair_sums = {a + b for a, b in product(members, repeat=2)}
-        mirror = {2 * t - 1 - x for x in members}
-        needed = range(2 * t + min(members))
-        if all(v in pair_sums for v in needed if v not in mirror):
-            found.append(TCandidate(t, mask))
-    return SpecialEnumeration(t, tuple(found))
 
 
 def _max_sum_free_extend(

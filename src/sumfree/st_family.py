@@ -114,12 +114,6 @@ class TCandidate:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    @property
-    def min_member(self) -> int:
-        if self.mask == 0:
-            raise DomainError("empty candidate has no minimum")
-        return (self.mask & -self.mask).bit_length() - 1
-
 
 def _self_sumset_mask(mask: int) -> int:
     """T + T over the integers (repetition allowed), as a bit mask."""

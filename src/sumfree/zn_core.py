@@ -33,17 +33,13 @@ __all__ = [
     "SetProperties",
     "interval",
     "sumset",
-    "sumset_power",
     "negate",
     "dilate",
     "is_symmetric",
     "is_sum_free",
     "is_complete",
     "classify",
-    "half_range_sum_free",
-    "half_range_complete",
     "units",
-    "dilation_orbit",
     "canonical_dilation_class",
     "set_to_json",
     "set_from_json",
@@ -62,14 +58,6 @@ class CyclicSet:
             raise DomainError(f"modulus must be positive, got {self.modulus}")
         if not 0 <= self.bits < (1 << self.modulus):
             raise DomainError(f"bit-vector out of range for modulus {self.modulus}")
-
-    @classmethod
-    def empty(cls, n: int) -> "CyclicSet":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "CyclicSet":
-        return cls(n, (1 << n) - 1)
 
     @classmethod
     def from_elements(cls, n: int, elements: Iterable[int]) -> "CyclicSet":
@@ -109,10 +97,6 @@ class CyclicSet:
     def __sub__(self, other: "CyclicSet") -> "CyclicSet":
         _require_same_modulus(self, other)
         return CyclicSet(self.modulus, self.bits & ~other.bits)
-
-    def issubset(self, other: "CyclicSet") -> bool:
-        _require_same_modulus(self, other)
-        return self.bits & ~other.bits == 0
 
     def __repr__(self) -> str:
         return f"CyclicSet(n={self.modulus}, {{{', '.join(map(str, self.elements()))}}})"
@@ -177,7 +161,7 @@ def interval(n: int, a: int, b: int) -> CyclicSet:
 
     Endpoints are arbitrary integers with a <= b; the length b - a + 1 must
     be strictly less than n (a wrap-around all the way to a full group is
-    almost always a caller bug, so it is refused; use CyclicSet.full).
+    almost always a caller bug, so it is refused).
     """
     if n < 1:
         raise DomainError(f"modulus must be positive, got {n}")
@@ -186,8 +170,7 @@ def interval(n: int, a: int, b: int) -> CyclicSet:
     length = b - a + 1
     if length >= n:
         raise IntervalCoversGroupError(
-            f"interval [{a}, {b}] has length {length} >= n = {n}; "
-            "use CyclicSet.full(n) for the whole group"
+            f"interval [{a}, {b}] has length {length} >= n = {n}"
         )
     lo = a % n
     if lo + length <= n:
@@ -202,20 +185,6 @@ def sumset(a: CyclicSet, b: CyclicSet) -> CyclicSet:
     """A + B = {x + y mod n : x in A, y in B}."""
     _require_same_modulus(a, b)
     return CyclicSet(a.modulus, _sumset_bits(a.bits, b.bits, a.modulus))
-
-
-def sumset_power(a: CyclicSet, k: int) -> CyclicSet:
-    """The k-fold sumset A + A + ... + A, computed by doubling."""
-    if k < 1:
-        raise DomainError(f"fold count must be >= 1, got {k}")
-    n = a.modulus
-    result = a.bits
-    # binary digits of k after the leading one, most significant first
-    for digit in bin(k)[3:]:
-        result = _sumset_bits(result, result, n)
-        if digit == "1":
-            result = _sumset_bits(result, a.bits, n)
-    return CyclicSet(n, result)
 
 
 def negate(a: CyclicSet) -> CyclicSet:
@@ -261,50 +230,11 @@ def classify(a: CyclicSet) -> SetProperties:
     )
 
 
-def _require_half_cover(a: CyclicSet, g1: CyclicSet) -> None:
-    _require_same_modulus(a, g1)
-    if not is_symmetric(a):
-        raise DomainError("half-range predicates require a symmetric set")
-    n = g1.modulus
-    if g1.bits | _negate_bits(g1.bits, n) != (1 << n) - 1:
-        raise DomainError("G1 together with -G1 must cover the whole group")
-
-
-def half_range_sum_free(a: CyclicSet, g1: CyclicSet) -> bool:
-    """Sum-freeness via sums inside G1 only.
-
-    For symmetric A and any G1 with G1 u -G1 = Z_n, checking that no two
-    elements of G1 n A sum into A is equivalent to full sum-freeness.
-    """
-    _require_half_cover(a, g1)
-    n = a.modulus
-    half = a.bits & g1.bits
-    return _sumset_bits(half, half, n) & a.bits == 0
-
-
-def half_range_complete(a: CyclicSet, g1: CyclicSet) -> bool:
-    """Completeness via coverage of G1 only.
-
-    For symmetric A and any G1 with G1 u -G1 = Z_n, covering G1 \\ A by
-    A + A is equivalent to covering all of Z_n \\ A.
-    """
-    _require_half_cover(a, g1)
-    n = a.modulus
-    need = g1.bits & ~a.bits
-    return need & ~_sumset_bits(a.bits, a.bits, n) == 0
-
-
 def units(n: int) -> List[int]:
     """Residues that are invertible mod n (for n = 1 this is [0])."""
     if n < 1:
         raise DomainError(f"modulus must be positive, got {n}")
     return [u for u in range(n) if math.gcd(u, n) == 1]
-
-
-def dilation_orbit(a: CyclicSet) -> List[CyclicSet]:
-    """Distinct dilations u * A over all units u, sorted by bit-vector."""
-    seen = {dilate(a, u).bits for u in units(a.modulus)}
-    return [CyclicSet(a.modulus, b) for b in sorted(seen)]
 
 
 def canonical_dilation_class(a: CyclicSet) -> CyclicSet:
@@ -335,7 +265,7 @@ def set_from_json(obj: dict) -> CyclicSet:
         raise DomainError("set JSON must be an object with 'n' and 'elements'")
     n = obj["n"]
     elements = obj["elements"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(elements, list):
         raise DomainError("'elements' must be a list of integers")

@@ -9,6 +9,7 @@ frozen regression ceilings stay auditable.
 import math
 import time
 
+from oracles import bc_interval_check, brute_special, gap_fill_check
 from sumfree.applications import (
     ProcessConfig,
     cayley_graph,
@@ -19,14 +20,11 @@ from sumfree.applications import (
 from sumfree.interval_ap_family import (
     N_MIN,
     IntervalAPParameters,
-    bc_interval_check,
     build_small,
-    gap_fill_check,
-    nearest_density_set,
+    density_choice,
     size_ladder,
 )
 from sumfree.search_oracle import (
-    brute_special,
     characterization_probe,
     exhaustive_max_sum_free,
     exhaustive_scsf,
@@ -161,7 +159,7 @@ def test_criterion_06_density_coverage(acceptance_log):
     for n in (10**4, 10**5):
         worst = 0.0
         for alpha in grid:
-            S = nearest_density_set(n, alpha)
+            S = build_small(density_choice(n, alpha))
             worst = max(worst, abs(S.size / n - alpha))
         gaps[n] = worst
     ok = gaps[10**4] <= 0.05 and gaps[10**5] <= 0.02

@@ -74,6 +74,15 @@ def test_verify_file_modulus_mismatch(capsys, tmp_path):
     assert payload["error"]["type"] == "DomainError"
 
 
+def test_verify_file_boolean_modulus_rejected(capsys, tmp_path):
+    # bool is an int subclass and True == 1, so true once passed as Z_1
+    path = tmp_path / "set.json"
+    path.write_text('{"n": true, "elements": [0]}')
+    code, payload = run_json(capsys, "verify", "--n", "1", "--set-file", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "DomainError"
+
+
 def test_verify_requires_exactly_one_source(capsys):
     code, payload = run_json(capsys, "verify", "--n", "8")
     assert code == 1

@@ -7,18 +7,15 @@ computed goldens.
 
 import pytest
 
+from oracles import bc_interval_check, gap_fill_check
 from sumfree.errors import ConstructionError, DomainError, ParameterError
 from sumfree.interval_ap_family import (
     N_MIN,
     IntervalAPParameters,
-    bc_interval_check,
     build_small,
     component_sets,
     density_choice,
-    gap_fill_check,
-    nearest_density_set,
     size_ladder,
-    smallest_set,
     solve_parameters,
 )
 from sumfree.zn_core import classify, negate
@@ -227,8 +224,7 @@ def test_density_ladder_only_quarter():
 def test_density_refinement_improves_quarter():
     choice = density_choice(10000, 0.25)
     assert choice.size == 2499
-    S = nearest_density_set(10000, 0.25)
-    assert S.size == 2499
+    assert build_small(choice).size == 2499
 
 
 def test_density_third_is_top_rung():
@@ -244,8 +240,9 @@ def test_density_rejects_bad_alpha():
 
 
 def test_smallest_set_sizes():
-    assert smallest_set(1000).size == 157
-    assert smallest_set(10000).size == 379
+    # the base rung is the family's smallest set at each n
+    assert build_small(size_ladder(1000).rungs[0]).size == 157
+    assert build_small(size_ladder(10000).rungs[0]).size == 379
 
 
 def test_density_gap_shrinks_with_n():

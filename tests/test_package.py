@@ -1,4 +1,5 @@
-"""Package-wide checks: exported names, worker counts, pool sizing, no asserts."""
+"""Package-wide checks: exported names and their callers, worker counts,
+pool sizing, no asserts."""
 
 import ast
 import importlib
@@ -88,3 +89,67 @@ def test_no_assert_in_package_source(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+LAYERS = [
+    "zn_core",
+    "st_family",
+    "special_sets",
+    "interval_ap_family",
+    "search_oracle",
+    "applications",
+    "cli",
+]
+
+# library entry points a user calls directly; the package itself reaches
+# the same predicates through classify and st_family._is_special_mask,
+# and the family through lower_bound_family
+ENTRY_POINTS = {
+    "is_symmetric",
+    "is_sum_free",
+    "is_complete",
+    "st_sum_free_condition",
+    "st_completeness_condition",
+    "is_t_special",
+    "iter_lower_bound_family",
+}
+
+
+def _package_references():
+    """Every name read in src/sumfree outside __init__.py.
+
+    __all__ entries are strings and imports are aliases, so neither counts;
+    a top-level def naming itself (recursion) does not count either.
+    """
+    used = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            if isinstance(stmt, ast.FunctionDef):
+                names.discard(stmt.name)
+            used |= names
+    return used
+
+
+def test_every_public_function_has_a_caller():
+    # a public function only its own tests call is dead API: delete it, or
+    # move it to tests/oracles.py if the tests still need it
+    used = _package_references()
+    dead = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"sumfree.{layer}")
+        dead += [
+            f"{layer}.{name}"
+            for name in module.__all__
+            if inspect.isfunction(getattr(module, name))
+            and name not in ENTRY_POINTS
+            and name not in used
+        ]
+    assert not dead, f"public functions with no caller in the package: {dead}"

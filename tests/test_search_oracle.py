@@ -9,12 +9,11 @@ import pytest
 from sumfree.errors import BudgetExceededError, DomainError
 from sumfree.search_oracle import (
     _scsf_shard,
-    brute_special,
     characterization_probe,
     exhaustive_max_sum_free,
     exhaustive_scsf,
 )
-from sumfree.special_sets import enumerate_special, predicted_scsf_count
+from sumfree.special_sets import predicted_scsf_count
 from sumfree.zn_core import (
     CyclicSet,
     canonical_dilation_class,
@@ -106,19 +105,6 @@ def test_catalog_budget_refusal():
     with pytest.raises(BudgetExceededError) as exc:
         exhaustive_scsf(30, budget=1 << 10)
     assert exc.value.required == 1 << 15
-
-
-# --- literal special-set re-enumeration ---
-
-
-@pytest.mark.parametrize("t", range(1, 7))
-def test_brute_special_matches_streamed(t):
-    assert brute_special(t) == enumerate_special(t)
-
-
-def test_brute_special_budget():
-    with pytest.raises(BudgetExceededError):
-        brute_special(9)  # 2^18 candidates over the 2^16 default
 
 
 # --- maximum sum-free sets ---

@@ -1,14 +1,14 @@
 """Special-set predicate, enumeration, family, and counting tests.
 
 The pruned, sharded search is compared against two oracles: the literal
-all-subsets brute force from search_oracle, and the stream over every
+all-subsets brute force from tests/oracles.py, and the stream over every
 size-t mask that the search replaced (``stream_special_masks`` below).
 """
 
 import pytest
 
+from oracles import brute_special
 from sumfree.errors import BudgetExceededError, DomainError, ParameterError
-from sumfree.search_oracle import brute_special
 from sumfree.special_sets import (
     enumerate_special,
     is_t_special,

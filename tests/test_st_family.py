@@ -83,7 +83,6 @@ def test_candidate_members_round_trip():
     T = TCandidate.from_members(4, [0, 4, 5, 6])
     assert T.members == (0, 4, 5, 6)
     assert T.size == 4
-    assert T.min_member == 0
 
 
 def test_candidate_rejects_out_of_range():
@@ -91,11 +90,6 @@ def test_candidate_rejects_out_of_range():
         TCandidate.from_members(4, [8])
     with pytest.raises(ParameterError):
         TCandidate.from_members(4, [-1])
-
-
-def test_empty_candidate_has_no_minimum():
-    with pytest.raises(DomainError):
-        TCandidate(4, 0).min_member
 
 
 # --- build_st ---
