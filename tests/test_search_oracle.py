@@ -6,6 +6,7 @@ oracle: literal iteration over all 2^n subsets with the zn_core predicates.
 
 import pytest
 
+from oracles import brute_special
 from sumfree.errors import BudgetExceededError, DomainError
 from sumfree.search_oracle import (
     _scsf_shard,
@@ -13,7 +14,7 @@ from sumfree.search_oracle import (
     exhaustive_max_sum_free,
     exhaustive_scsf,
 )
-from sumfree.special_sets import predicted_scsf_count
+from sumfree.special_sets import enumerate_special, predicted_scsf_count
 from sumfree.zn_core import (
     CyclicSet,
     canonical_dilation_class,
@@ -105,6 +106,14 @@ def test_catalog_budget_refusal():
     with pytest.raises(BudgetExceededError) as exc:
         exhaustive_scsf(30, budget=1 << 10)
     assert exc.value.required == 1 << 15
+
+
+# --- literal special-set re-enumeration ---
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_brute_special_matches_streamed(t):
+    assert brute_special(t) == enumerate_special(t)
 
 
 # --- maximum sum-free sets ---
