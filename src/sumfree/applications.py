@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from numpy.random import Generator, Philox
 
-from ._bits import bit_positions, rotate
+from ._bits import rotate
 from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
 from .errors import ConstructionError, DomainError, ParameterError
@@ -59,9 +59,6 @@ class CayleyGraph:
 
     def _row(self, u: int) -> int:
         return rotate(self.generators.bits, u, self.n)
-
-    def neighbors(self, u: int) -> List[int]:
-        return bit_positions(self._row(u % self.n))
 
     def edges(self) -> List[Tuple[int, int]]:
         out = []

@@ -74,7 +74,7 @@ def _parse_members(raw: str) -> List[int]:
         raise DomainError(f"expected comma-separated integers, got {raw!r}")
 
 
-def _load_set(n: Optional[int], set_arg: Optional[str], file_arg: Optional[str]) -> CyclicSet:
+def _load_set(n: int, set_arg: Optional[str], file_arg: Optional[str]) -> CyclicSet:
     if (set_arg is None) == (file_arg is None):
         raise DomainError("provide exactly one of --set and --set-file")
     if file_arg is not None:
@@ -84,13 +84,11 @@ def _load_set(n: Optional[int], set_arg: Optional[str], file_arg: Optional[str])
         except (OSError, ValueError) as exc:
             raise DomainError(f"cannot read set file {file_arg}: {exc}")
         loaded = set_from_json(obj)
-        if n is not None and loaded.modulus != n:
+        if loaded.modulus != n:
             raise DomainError(
                 f"set file has n = {loaded.modulus}, command says n = {n}"
             )
         return loaded
-    if n is None:
-        raise DomainError("--set needs the modulus flag")
     return CyclicSet.from_elements(n, _parse_members(set_arg))
 
 

@@ -193,14 +193,6 @@ class SizeLadder:
     rungs: Tuple[IntervalAPParameters, ...]
 
     @property
-    def base_size(self) -> int:
-        return self.rungs[0].size
-
-    @property
-    def difference(self) -> int:
-        return 2 * (2 * self.rungs[0].d - 3)
-
-    @property
     def sizes(self) -> Tuple[int, ...]:
         return tuple(p.size for p in self.rungs)
 

@@ -10,21 +10,15 @@ never the other way round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ._bits import rotate
+from ._bits import mirror, rotate
 from ._parallel import require_workers, run_sharded
 from ._primes import is_prime
 from .errors import BudgetExceededError, ConstructionError, DomainError
 from .special_sets import PredictedCount, _predicted_count, enumerate_special
 from .st_family import STParameters, build_st
-from .zn_core import (
-    CyclicSet,
-    canonical_dilation_class,
-    classify,
-    dilate,
-    units,
-)
+from .zn_core import CyclicSet, classify, dilate, units
 
 __all__ = [
     "Catalog",
@@ -45,23 +39,46 @@ DEFAULT_MAX_PRIME = 43
 
 @dataclass(frozen=True)
 class DilationClass:
-    """One orbit of the unit-dilation action, named by its canonical form."""
+    """One orbit {u * A : u a unit} of the unit-dilation action.
+
+    The representative is the orbit member whose membership bit-string,
+    read from index 0 upward, is lexicographically least: the member with
+    the least mirrored mask.  Catalogs list their classes in increasing
+    order of the representative's mask.
+    """
 
     representative: CyclicSet
     orbit_size: int
 
 
+def _dilation_orbit(a: CyclicSet) -> Set[int]:
+    """Bit masks of {u * A : u a unit mod n}."""
+    return {dilate(a, u).bits for u in units(a.modulus)}
+
+
 def _group_into_classes(members: Tuple[CyclicSet, ...]) -> Tuple[DilationClass, ...]:
-    buckets: Dict[int, List[CyclicSet]] = {}
-    reps: Dict[int, CyclicSet] = {}
+    """Split a catalog closed under unit dilation into its orbits.
+
+    The first unclaimed member's orbit is built once and claimed whole, so
+    each class costs one sweep over the units.  Every catalog built here is
+    closed under dilation; an orbit member outside it is a search bug.
+    """
+    unclaimed = {member.bits for member in members}
+    classes = []
     for member in members:
-        rep = canonical_dilation_class(member)
-        buckets.setdefault(rep.bits, []).append(member)
-        reps[rep.bits] = rep
-    return tuple(
-        DilationClass(reps[bits], len(bucket))
-        for bits, bucket in sorted(buckets.items())
-    )
+        if member.bits not in unclaimed:
+            continue
+        orbit = _dilation_orbit(member)
+        if not orbit <= unclaimed:
+            raise ConstructionError(
+                f"catalog is not closed under unit dilation: {member} has "
+                f"{len(orbit - unclaimed)} dilates outside it"
+            )
+        unclaimed -= orbit
+        n = member.modulus
+        rep = min(orbit, key=lambda bits: mirror(bits, n))
+        classes.append(DilationClass(CyclicSet(n, rep), len(orbit)))
+    return tuple(sorted(classes, key=lambda c: c.representative.bits))
 
 
 @dataclass(frozen=True)
@@ -322,9 +339,7 @@ def characterization_probe(
         special_count = specials.g
         if definition_valid:
             for T in specials.sets:
-                base = build_st(params, T)
-                for u in units(p):
-                    construction_bits.add(dilate(base, u).bits)
+                construction_bits |= _dilation_orbit(build_st(params, T))
         # the size class whose window is this t reuses the enumeration above
         if p % 3 == 1 and t % 3 == 1 and t >= 4:
             predicted = _predicted_count(p, (t - 1) // 3, specials)

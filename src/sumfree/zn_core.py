@@ -40,7 +40,6 @@ __all__ = [
     "is_complete",
     "classify",
     "units",
-    "canonical_dilation_class",
     "set_to_json",
     "set_from_json",
 ]
@@ -73,9 +72,6 @@ class CyclicSet:
     def elements(self) -> List[int]:
         """Members as a sorted list of canonical representatives in [0, n)."""
         return bit_positions(self.bits)
-
-    def complement(self) -> "CyclicSet":
-        return CyclicSet(self.modulus, self.bits ^ ((1 << self.modulus) - 1))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -235,23 +231,6 @@ def units(n: int) -> List[int]:
     if n < 1:
         raise DomainError(f"modulus must be positive, got {n}")
     return [u for u in range(n) if math.gcd(u, n) == 1]
-
-
-def canonical_dilation_class(a: CyclicSet) -> CyclicSet:
-    """Canonical representative of {u * A : u a unit}.
-
-    The representative is the orbit member whose membership bit-string,
-    read from index 0 upward, is lexicographically least.  Any total order
-    would do; this one is reproducible and cheap.
-    """
-    n = a.modulus
-    # lexicographic order on the membership string read from index 0
-    # upward is the numeric order of the mirrored mask; units(n) is never empty
-    best = min(
-        (dilate(a, u).bits for u in units(n)),
-        key=lambda bits: mirror(bits, n),
-    )
-    return CyclicSet(n, best)
 
 
 def set_to_json(a: CyclicSet) -> dict:

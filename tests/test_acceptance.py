@@ -140,8 +140,8 @@ def test_criterion_05_ladder_at_scale(acceptance_log):
             S = build_small(params, checked=checked)
             assert S.size == params.size
         root = math.sqrt(n)
-        c1 = max(c1, ladder.base_size / root)
-        c2 = max(c2, ladder.difference / root)
+        c1 = max(c1, first.size / root)
+        c2 = max(c2, 2 * (2 * first.d - 3) / root)
         c3 = max(c3, (n / 3 - ladder.sizes[-1]) / root)
     elapsed = time.perf_counter() - started
     ok = c1 <= 7.30 and c2 <= 4.00 and c3 <= 6.00 and elapsed < 600

@@ -26,14 +26,21 @@ def mk(n, elements):
     return CyclicSet.from_elements(n, elements)
 
 
+def neighbors(graph, u):
+    """Neighbours of vertex u, read off the edge list."""
+    return sorted(
+        {v for a, v in graph.edges() if a == u} | {a for a, v in graph.edges() if v == u}
+    )
+
+
 # --- Cayley graphs ---
 
 
 def test_cayley_z8_block():
     graph = cayley_graph(mk(8, [3, 4, 5]))
     assert graph.n == 8
-    assert graph.neighbors(0) == [3, 4, 5]
-    assert graph.neighbors(1) == [4, 5, 6]
+    assert neighbors(graph, 0) == [3, 4, 5]
+    assert neighbors(graph, 1) == [4, 5, 6]
     props = graph_properties(graph)
     assert (props.degree, props.regular) == (3, True)
     assert props.triangle_free
@@ -72,7 +79,7 @@ def test_cayley_graph_direct_construction_checks_generators():
         CayleyGraph(mk(8, [1]))
     with pytest.raises(DomainError):
         CayleyGraph(mk(8, [0, 3, 4, 5]))
-    assert CayleyGraph(mk(8, [3, 4, 5])).neighbors(0) == [3, 4, 5]
+    assert neighbors(CayleyGraph(mk(8, [3, 4, 5])), 0) == [3, 4, 5]
 
 
 def test_cayley_edge_count():
@@ -148,8 +155,7 @@ def test_graph_views_match_definition():
     S = mk(13, [1, 5, 8, 12])
     graph = cayley_graph(S)
     for u in range(13):
-        assert graph.neighbors(u) == sorted((u + s) % 13 for s in S)
-    assert graph.neighbors(-1) == graph.neighbors(12)
+        assert neighbors(graph, u) == sorted((u + s) % 13 for s in S)
     assert graph.edges() == sorted(
         (u, v) for u in range(13) for v in range(u + 1, 13) if (v - u) % 13 in S
     )

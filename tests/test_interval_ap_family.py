@@ -180,14 +180,14 @@ def test_solver_threshold():
 def test_ladder_n1000_single_rung():
     ladder = size_ladder(1000)
     assert ladder.sizes == (157,)
-    assert ladder.base_size == 157
+    assert ladder.rungs[0].size == 157
     assert len(ladder.rungs) == 1
 
 
 def test_ladder_n10000():
     ladder = size_ladder(10000)
     assert len(ladder.rungs) == 7
-    assert ladder.difference == 2 * (2 * 100 - 3)
+    assert 2 * (2 * ladder.rungs[0].d - 3) == 2 * (2 * 100 - 3)
     assert ladder.sizes == tuple(379 + 394 * i for i in range(7))
     assert ladder.sizes[-1] == 2743
 
@@ -202,8 +202,10 @@ def test_ladder_rungs_all_buildable():
 
 def test_ladder_sizes_strictly_increase():
     for n in (N_MIN, 2000, 5000):
-        sizes = size_ladder(n).sizes
-        assert all(b - a == size_ladder(n).difference for a, b in zip(sizes, sizes[1:]))
+        ladder = size_ladder(n)
+        sizes = ladder.sizes
+        difference = 2 * (2 * ladder.rungs[0].d - 3)
+        assert all(b - a == difference for a, b in zip(sizes, sizes[1:]))
         assert sizes == tuple(sorted(set(sizes)))
 
 

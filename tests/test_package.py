@@ -115,41 +115,63 @@ ENTRY_POINTS = {
 }
 
 
+def _names_read(node, enclosing=frozenset()):
+    """Names and attributes read under node, outside a def of that name."""
+    used = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            used |= _names_read(child, enclosing | {child.name})
+            continue
+        if isinstance(child, ast.Name):
+            used.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            used.add(child.attr)
+        used |= _names_read(child, enclosing)
+    return used - enclosing
+
+
 def _package_references():
     """Every name read in src/sumfree outside __init__.py.
 
     __all__ entries are strings and imports are aliases, so neither counts;
-    a top-level def naming itself (recursion) does not count either.
+    a function or method naming itself (recursion) does not count either.
     """
     used = set()
     for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for stmt in tree.body:
-            names = {
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt)
-                if isinstance(node, (ast.Name, ast.Attribute))
-            }
-            if isinstance(stmt, ast.FunctionDef):
-                names.discard(stmt.name)
-            used |= names
+        if path.name != "__init__.py":
+            used |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
     return used
 
 
+def _public_methods(cls):
+    """Public methods and properties of cls; dunders and fields are exempt."""
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (
+            inspect.isfunction(value)
+            or isinstance(value, (property, classmethod, staticmethod))
+        )
+    ]
+
+
 def test_every_public_function_has_a_caller():
-    # a public function only its own tests call is dead API: delete it, or
-    # move it to tests/oracles.py if the tests still need it
+    # a public function or method only its own tests call is dead API:
+    # delete it, or move it to tests/oracles.py if the tests still need it
     used = _package_references()
     dead = []
     for layer in LAYERS:
         module = importlib.import_module(f"sumfree.{layer}")
-        dead += [
-            f"{layer}.{name}"
-            for name in module.__all__
-            if inspect.isfunction(getattr(module, name))
-            and name not in ENTRY_POINTS
-            and name not in used
-        ]
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                if name not in ENTRY_POINTS and name not in used:
+                    dead.append(f"{layer}.{name}")
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+                dead += [
+                    f"{layer}.{name}.{method}"
+                    for method in _public_methods(obj)
+                    if method not in used
+                ]
     assert not dead, f"public functions with no caller in the package: {dead}"

@@ -2,13 +2,17 @@
 
 The exhaustive searchers are themselves checked against an even dumber
 oracle: literal iteration over all 2^n subsets with the zn_core predicates.
+The orbit sweep that splits a catalog into dilation classes is checked
+against the per-member canonical form it replaced.
 """
 
 import pytest
 
-from oracles import brute_special
-from sumfree.errors import BudgetExceededError, DomainError
+from oracles import brute_special, classes_per_member
+from sumfree._primes import is_prime
+from sumfree.errors import BudgetExceededError, ConstructionError, DomainError
 from sumfree.search_oracle import (
+    _group_into_classes,
     _scsf_shard,
     characterization_probe,
     exhaustive_max_sum_free,
@@ -17,7 +21,6 @@ from sumfree.search_oracle import (
 from sumfree.special_sets import enumerate_special, predicted_scsf_count
 from sumfree.zn_core import (
     CyclicSet,
-    canonical_dilation_class,
     classify,
     dilate,
     is_sum_free,
@@ -79,6 +82,29 @@ def test_catalog_classes_z8():
     reps = [(c.representative.elements(), c.orbit_size) for c in catalog.classes]
     assert reps == [([3, 4, 5], 2), ([1, 3, 5, 7], 1)]
     assert sum(c.orbit_size for c in catalog.classes) == len(catalog.members)
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_catalog_classes_match_per_member_oracle(n):
+    catalog = exhaustive_scsf(n, budget=1 << 24)
+    assert catalog.classes == classes_per_member(catalog.members)
+
+
+@pytest.mark.parametrize("n", [29, 36, 41, 44])
+def test_size_filtered_classes_match_per_member_oracle(n):
+    for s in sorted({m.size for m in exhaustive_scsf(n).members}):
+        catalog = exhaustive_scsf(n, size_filter=s)
+        assert catalog.classes == classes_per_member(catalog.members)
+
+
+def test_catalog_without_members_has_no_classes():
+    assert exhaustive_scsf(3).classes == ()
+
+
+def test_classes_refuse_a_catalog_not_closed_under_dilation():
+    # 3 * {3, 4, 5} = {1, 4, 7} in Z_8 is missing
+    with pytest.raises(ConstructionError, match="not closed under unit dilation"):
+        _group_into_classes((CyclicSet.from_elements(8, [3, 4, 5]),))
 
 
 def test_catalog_size_filter_consistent():
@@ -147,6 +173,12 @@ def test_max_sum_free_matches_dumb_oracle(p):
     catalog = exhaustive_max_sum_free(p)
     assert catalog.max_size == best
     assert [m.bits for m in catalog.members] == expect
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 44) if is_prime(p)])
+def test_max_sum_free_classes_match_per_member_oracle(p):
+    catalog = exhaustive_max_sum_free(p)
+    assert catalog.classes == classes_per_member(catalog.members)
 
 
 def test_max_sum_free_rejects_bad_p():
