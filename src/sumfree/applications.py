@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from numpy.random import Generator, Philox
 
 from ._bits import rotate
-from ._parallel import require_workers, run_sharded
+from ._parallel import require_workers, run_sharded, shard_ranges
 from ._primes import is_prime
 from .errors import ConstructionError, DomainError, ParameterError
 from .zn_core import CyclicSet, _sumset_bits, classify, negate, sumset
@@ -295,11 +295,9 @@ def simulate_random_sumfree(
     if config.conditioning is not None:
         modulus = config.conditioning.modulus
         member_bits = config.conditioning.bits
-    chunk = -(-config.trials // workers)
     shards = [
-        (config.horizon, config.seed, start, min(chunk, config.trials - start),
-         modulus, member_bits)
-        for start in range(0, config.trials, chunk)
+        (config.horizon, config.seed, block.start, len(block), modulus, member_bits)
+        for block in shard_ranges(config.trials)
     ]
     contained = 0
     joined_total = 0

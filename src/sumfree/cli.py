@@ -11,11 +11,12 @@ Asymptotic-claim and hypothesis flags are data, never exit conditions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .applications import (
@@ -49,17 +50,16 @@ __all__ = ["CommandEnvelope", "dispatch", "main"]
 class CommandEnvelope:
     """What one invocation produced, before rendering."""
 
-    command: str
-    arguments: Dict[str, object]
     payload: object
     diagnostics: Dict[str, object] = field(default_factory=dict)
     exit_status: int = 0
     text: bool = False
+    pretty: bool = False
 
-    def rendered(self, pretty: bool = False) -> str:
+    def rendered(self) -> str:
         if self.text:
             return str(self.payload)
-        if pretty:
+        if self.pretty:
             return json.dumps(self.payload, indent=2)
         return json.dumps(self.payload, separators=(",", ":"))
 
@@ -92,26 +92,12 @@ def _load_set(n: int, set_arg: Optional[str], file_arg: Optional[str]) -> Cyclic
     return CyclicSet.from_elements(n, _parse_members(set_arg))
 
 
-def _properties_block(S: CyclicSet) -> Dict[str, object]:
-    props = classify(S)
-    return {
-        "symmetric": props.symmetric,
-        "sum_free": props.sum_free,
-        "complete": props.complete,
-        "size": props.size,
-    }
-
-
-# each handler returns (payload, exit_status, diagnostics, is_text)
-Result = Tuple[object, int, Dict[str, object], bool]
-
-
-def _cmd_verify(args: argparse.Namespace) -> Result:
+def _cmd_verify(args: argparse.Namespace) -> CommandEnvelope:
     S = _load_set(args.n, args.set, args.set_file)
-    return _properties_block(S), 0, {}, False
+    return CommandEnvelope(asdict(classify(S)))
 
 
-def _cmd_st_build(args: argparse.Namespace) -> Result:
+def _cmd_st_build(args: argparse.Namespace) -> CommandEnvelope:
     params = STParameters(args.n, args.s)
     T = TCandidate.from_members(params.t, _parse_members(args.set))
     S = build_st(params, T)
@@ -120,58 +106,39 @@ def _cmd_st_build(args: argparse.Namespace) -> Result:
         "s": args.s,
         "t": params.t,
         "set": set_to_json(S),
-        "properties": _properties_block(S),
+        "properties": asdict(classify(S)),
     }
     diagnostics = {}
     if not params.theorem_valid:
         diagnostics["hypotheses_unmet"] = "outside the proven range 2n <= 7s - 2"
-    return payload, 0, diagnostics, False
+    return CommandEnvelope(payload, diagnostics)
 
 
-def _cmd_st_equiv(args: argparse.Namespace) -> Result:
+def _cmd_st_equiv(args: argparse.Namespace) -> CommandEnvelope:
     report = verify_st_equivalence(
         args.n, args.s, budget=args.budget, workers=args.threads
     )
-    payload = {
-        "n": report.n,
-        "s": report.s,
-        "t": report.t,
-        "candidates": report.candidates,
-        "special_count": report.special_count,
-        "counterexamples": [list(members) for members in report.counterexamples],
-        "ok": report.ok,
-    }
-    return payload, 0 if report.ok else 1, {}, False
+    payload = {**asdict(report), "ok": report.ok}
+    return CommandEnvelope(payload, exit_status=0 if report.ok else 1)
 
 
-def _cmd_special_enum(args: argparse.Namespace) -> Result:
+def _cmd_special_enum(args: argparse.Namespace) -> CommandEnvelope:
     enum = enumerate_special(args.t, budget=args.budget, workers=args.threads)
     payload: Dict[str, object] = {"t": enum.t, "g": enum.g}
     if not args.count_only:
         payload["sets"] = enum.as_lists()
-    return payload, 0, {}, False
+    return CommandEnvelope(payload)
 
 
-def _cmd_special_predict(args: argparse.Namespace) -> Result:
+def _cmd_special_predict(args: argparse.Namespace) -> CommandEnvelope:
     pc = predicted_scsf_count(args.p, args.r, budget=args.budget)
-    payload = {
-        "p": pc.p,
-        "r": pc.r,
-        "k": pc.k,
-        "t": pc.t,
-        "g": pc.g,
-        "size": pc.size,
-        "count": pc.count,
-        "asymptotic_claim": pc.asymptotic_claim,
-        "vacuous": pc.vacuous,
-    }
     diagnostics = {
         "note": "counting formula is asymptotic in p; never certified at CLI scale"
     }
-    return payload, 0, diagnostics, False
+    return CommandEnvelope(asdict(pc), diagnostics)
 
 
-def _cmd_small_build(args: argparse.Namespace) -> Result:
+def _cmd_small_build(args: argparse.Namespace) -> CommandEnvelope:
     params = IntervalAPParameters(t=args.t, d=args.d, k=args.k, a=args.variant)
     S = build_small(params)
     payload = {
@@ -183,10 +150,10 @@ def _cmd_small_build(args: argparse.Namespace) -> Result:
         "size": S.size,
         "set": set_to_json(S),
     }
-    return payload, 0, {}, False
+    return CommandEnvelope(payload)
 
 
-def _cmd_ladder(args: argparse.Namespace) -> Result:
+def _cmd_ladder(args: argparse.Namespace) -> CommandEnvelope:
     ladder = size_ladder(args.n)
     rungs = []
     for params in ladder.rungs:
@@ -200,10 +167,10 @@ def _cmd_ladder(args: argparse.Namespace) -> Result:
                 "set": S.elements(),
             }
         )
-    return {"n": ladder.n, "rungs": rungs}, 0, {}, False
+    return CommandEnvelope({"n": ladder.n, "rungs": rungs})
 
 
-def _cmd_density(args: argparse.Namespace) -> Result:
+def _cmd_density(args: argparse.Namespace) -> CommandEnvelope:
     choice = density_choice(args.n, args.alpha, refine=not args.ladder_only)
     S = build_small(choice)
     payload = {
@@ -218,7 +185,7 @@ def _cmd_density(args: argparse.Namespace) -> Result:
         "gap": abs(S.size / args.n - args.alpha),
         "set": S.elements(),
     }
-    return payload, 0, {}, False
+    return CommandEnvelope(payload)
 
 
 def _classes_json(classes: Tuple[DilationClass, ...]) -> List[Dict[str, object]]:
@@ -228,7 +195,7 @@ def _classes_json(classes: Tuple[DilationClass, ...]) -> List[Dict[str, object]]
     ]
 
 
-def _cmd_search_exhaustive(args: argparse.Namespace) -> Result:
+def _cmd_search_exhaustive(args: argparse.Namespace) -> CommandEnvelope:
     catalog = exhaustive_scsf(
         args.n, size_filter=args.size, budget=args.budget, workers=args.threads
     )
@@ -240,10 +207,10 @@ def _cmd_search_exhaustive(args: argparse.Namespace) -> Result:
     }
     if args.classes:
         payload["classes"] = _classes_json(catalog.classes)
-    return payload, 0, {}, False
+    return CommandEnvelope(payload)
 
 
-def _cmd_search_maxsumfree(args: argparse.Namespace) -> Result:
+def _cmd_search_maxsumfree(args: argparse.Namespace) -> CommandEnvelope:
     catalog = exhaustive_max_sum_free(args.p, budget=args.budget)
     payload = {
         "p": catalog.p,
@@ -252,10 +219,10 @@ def _cmd_search_maxsumfree(args: argparse.Namespace) -> Result:
         "members": [set_to_json(member) for member in catalog.members],
         "classes": _classes_json(catalog.classes),
     }
-    return payload, 0, {}, False
+    return CommandEnvelope(payload)
 
 
-def _cmd_search_probe(args: argparse.Namespace) -> Result:
+def _cmd_search_probe(args: argparse.Namespace) -> CommandEnvelope:
     report = characterization_probe(
         args.p, args.s, budget=args.budget, workers=args.threads
     )
@@ -291,16 +258,16 @@ def _cmd_search_probe(args: argparse.Namespace) -> Result:
         diagnostics["hypotheses_unmet"] = (
             "characterization compared outside its proven range; evidence only"
         )
-    return payload, 0, diagnostics, False
+    return CommandEnvelope(payload, diagnostics)
 
 
-def _cmd_cayley(args: argparse.Namespace) -> Result:
+def _cmd_cayley(args: argparse.Namespace) -> CommandEnvelope:
     S = _load_set(args.n, args.set, args.set_file)
     graph = cayley_graph(S)
     if args.format == "dot":
-        return graph.to_dot(), 0, {}, True
+        return CommandEnvelope(graph.to_dot(), text=True)
     if args.format == "edges":
-        return graph.to_edge_list(), 0, {}, True
+        return CommandEnvelope(graph.to_edge_list(), text=True)
     props = graph_properties(graph)
     payload = {
         "n": graph.n,
@@ -312,10 +279,10 @@ def _cmd_cayley(args: argparse.Namespace) -> Result:
         # bytes pinned by tests/test_cli.py and perfbench/golden.json hold
         "diameter_sampled": False,
     }
-    return payload, 0, {}, False
+    return CommandEnvelope(payload)
 
 
-def _cmd_dioid(args: argparse.Namespace) -> Result:
+def _cmd_dioid(args: argparse.Namespace) -> CommandEnvelope:
     S = _load_set(args.p, args.set, args.set_file)
     report = dioid_partition(S)
     payload = {
@@ -332,10 +299,10 @@ def _cmd_dioid(args: argparse.Namespace) -> Result:
         },
         "all_ok": report.all_axioms_ok,
     }
-    return payload, 0 if report.all_axioms_ok else 1, {}, False
+    return CommandEnvelope(payload, exit_status=0 if report.all_axioms_ok else 1)
 
 
-def _cmd_simulate_cameron(args: argparse.Namespace) -> Result:
+def _cmd_simulate_cameron(args: argparse.Namespace) -> CommandEnvelope:
     conditioning = None
     if (args.mod is None) != (args.set is None):
         raise DomainError("--mod and --set go together")
@@ -359,14 +326,14 @@ def _cmd_simulate_cameron(args: argparse.Namespace) -> Result:
         "containment_rate": report.containment_rate,
         "conditional_density": report.conditional_density,
     }
-    return payload, 0, {}, False
+    return CommandEnvelope(payload)
 
 
-def _leaf(subparsers, name: str, handler, command: str, *,
+def _leaf(subparsers, name: str, handler, *,
           budget: bool = False, threads: bool = False, **kwargs):
     """Add one command; only commands that pass them on get --budget/--threads."""
     parser = subparsers.add_parser(name, **kwargs)
-    parser.set_defaults(handler=handler, command=command)
+    parser.set_defaults(handler=handler)
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     if budget:
         parser.add_argument(
@@ -387,52 +354,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = root.add_subparsers(dest="topcommand", required=True)
 
-    p = _leaf(top, "verify", _cmd_verify, "verify",
-              help="evaluate the three predicates on a set")
+    p = _leaf(top, "verify", _cmd_verify, help="evaluate the three predicates on a set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set")
     p.add_argument("--set-file")
 
     st = top.add_parser("st", help="central-interval construction S_T")
     st_sub = st.add_subparsers(dest="subcommand", required=True)
-    p = _leaf(st_sub, "build", _cmd_st_build, "st build",
-              help="build S_T from the offset window T")
+    p = _leaf(st_sub, "build", _cmd_st_build, help="build S_T from the offset window T")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--set", required=True, help="members of T, e.g. \"0,4,5,6\"")
-    p = _leaf(st_sub, "equiv", _cmd_st_equiv, "st equiv",
-              budget=True, threads=True,
+    p = _leaf(st_sub, "equiv", _cmd_st_equiv, budget=True, threads=True,
               help="exhaustively check special T <=> valid S_T at one (n, s)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
 
     special = top.add_parser("special", help="special offset windows")
     special_sub = special.add_subparsers(dest="subcommand", required=True)
-    p = _leaf(special_sub, "enum", _cmd_special_enum, "special enum",
-              budget=True, threads=True,
+    p = _leaf(special_sub, "enum", _cmd_special_enum, budget=True, threads=True,
               help="enumerate all t-special sets")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    p = _leaf(special_sub, "predict", _cmd_special_predict, "special predict",
-              budget=True,
+    p = _leaf(special_sub, "predict", _cmd_special_predict, budget=True,
               help="asymptotic count of one size class in Z_p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
     small = top.add_parser("small", help="interval-plus-progression construction")
     small_sub = small.add_subparsers(dest="subcommand", required=True)
-    p = _leaf(small_sub, "build", _cmd_small_build, "small build",
+    p = _leaf(small_sub, "build", _cmd_small_build,
               help="build the set for explicit (t, d, k, variant)")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--variant", type=int, choices=(11, 14), required=True)
 
-    p = _leaf(top, "ladder", _cmd_ladder, "ladder",
-              help="all rung sets for one modulus")
+    p = _leaf(top, "ladder", _cmd_ladder, help="all rung sets for one modulus")
     p.add_argument("--n", type=int, required=True)
 
-    p = _leaf(top, "density", _cmd_density, "density",
+    p = _leaf(top, "density", _cmd_density,
               help="construction nearest a target density")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -441,39 +402,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = top.add_parser("search", help="exhaustive ground truth")
     search_sub = search.add_subparsers(dest="subcommand", required=True)
-    p = _leaf(search_sub, "exhaustive", _cmd_search_exhaustive, "search exhaustive",
+    p = _leaf(search_sub, "exhaustive", _cmd_search_exhaustive,
               budget=True, threads=True,
               help="all symmetric complete sum-free sets in Z_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--classes", action="store_true")
-    p = _leaf(search_sub, "maxsumfree", _cmd_search_maxsumfree, "search maxsumfree",
-              budget=True,
+    p = _leaf(search_sub, "maxsumfree", _cmd_search_maxsumfree, budget=True,
               help="all maximum sum-free sets in Z_p")
     p.add_argument("--p", type=int, required=True)
-    p = _leaf(search_sub, "probe", _cmd_search_probe, "search probe",
-              budget=True, threads=True,
+    p = _leaf(search_sub, "probe", _cmd_search_probe, budget=True, threads=True,
               help="catalog vs construction evidence at one (p, s)")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
 
-    p = _leaf(top, "cayley", _cmd_cayley, "cayley",
-              help="Cayley graph properties or export")
+    p = _leaf(top, "cayley", _cmd_cayley, help="Cayley graph properties or export")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set")
     p.add_argument("--set-file")
     p.add_argument("--format", choices=("json", "dot", "edges"), default="json")
 
-    p = _leaf(top, "dioid", _cmd_dioid, "dioid",
-              help="three-part partition axioms over Z_p")
+    p = _leaf(top, "dioid", _cmd_dioid, help="three-part partition axioms over Z_p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--set")
     p.add_argument("--set-file")
 
     simulate = top.add_parser("simulate", help="random sum-free process")
     simulate_sub = simulate.add_subparsers(dest="subcommand", required=True)
-    p = _leaf(simulate_sub, "cameron", _cmd_simulate_cameron, "simulate cameron",
-              threads=True,
+    p = _leaf(simulate_sub, "cameron", _cmd_simulate_cameron, threads=True,
               help="seeded Monte Carlo runs of the join-with-probability-1/2 process")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
@@ -486,35 +442,34 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    Parsing leaves an argparse parser as it was (every flag's default is
+    immutable), so one parser serves every request a process makes.
+    """
+    return build_parser()
+
+
 def dispatch(argv: List[str]) -> CommandEnvelope:
-    """Parse argv, run the matching handler, and wrap what happened."""
-    args = build_parser().parse_args(argv)
-    arguments = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("handler",) and not callable(value)
-    }
+    """Parse argv, run the matching handler, and time it."""
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        payload, status, diagnostics, text = args.handler(args)
+        envelope = args.handler(args)
     except SumfreeError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        status, diagnostics, text = 1, {}, False
-    diagnostics["elapsed_s"] = round(time.perf_counter() - started, 3)
-    return CommandEnvelope(
-        command=args.command,
-        arguments=arguments,
-        payload=payload,
-        diagnostics=diagnostics,
-        exit_status=status,
-        text=text,
-    )
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        envelope = CommandEnvelope({"error": error}, exit_status=1)
+    envelope.diagnostics["elapsed_s"] = round(time.perf_counter() - started, 3)
+    envelope.pretty = args.pretty
+    return envelope
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     envelope = dispatch(sys.argv[1:] if argv is None else argv)
     try:
-        print(envelope.rendered(pretty=envelope.arguments.get("pretty", False)))
+        print(envelope.rendered())
         # a reader that closed the pipe early shows up here, not at exit
         sys.stdout.flush()
     except BrokenPipeError:

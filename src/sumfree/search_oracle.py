@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from ._bits import mirror, rotate
-from ._parallel import require_workers, run_sharded
+from ._parallel import SHARD_BITS, require_workers, run_sharded
 from ._primes import is_prime
 from .errors import BudgetExceededError, ConstructionError, DomainError
 from .special_sets import PredictedCount, _predicted_count, enumerate_special
@@ -88,7 +88,11 @@ class Catalog:
     n: int
     size_filter: Optional[int]
     members: Tuple[CyclicSet, ...]
-    classes: Tuple[DilationClass, ...]
+
+    @property
+    def classes(self) -> Tuple[DilationClass, ...]:
+        """The members split into unit-dilation orbits, on every read."""
+        return _group_into_classes(self.members)
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,11 @@ class MaxSumFreeCatalog:
     p: int
     max_size: int
     members: Tuple[CyclicSet, ...]
-    classes: Tuple[DilationClass, ...]
+
+    @property
+    def classes(self) -> Tuple[DilationClass, ...]:
+        """The members split into unit-dilation orbits, on every read."""
+        return _group_into_classes(self.members)
 
 
 def _pair_orbits(n: int) -> List[int]:
@@ -128,8 +136,6 @@ def _scsf_dfs(
         if size > size_filter or size + suffix[index] < size_filter:
             return
     if index == len(orbits):
-        if size_filter is not None and s_bits.bit_count() != size_filter:
-            return
         if s_bits | ss_bits == (1 << n) - 1:
             out.append(s_bits)
         return
@@ -187,8 +193,8 @@ def exhaustive_scsf(
     Candidates are subsets of the negation orbits (0 is never sum-free),
     searched depth-first with the partial sumset carried along; sum-free
     failures prune, completeness is checked at the leaves.  Each shard fixes
-    the choice on the first (up to) six orbits; one worker runs the shards
-    in-process.
+    the choice on the first (up to) SHARD_BITS orbits; one worker runs the
+    shards in-process.
     """
     require_workers(workers)
     if n < 1:
@@ -202,7 +208,7 @@ def exhaustive_scsf(
             required=cost,
             limit=limit,
         )
-    prefix = min(6, len(_pair_orbits(n)))
+    prefix = min(SHARD_BITS, len(_pair_orbits(n)))
     shards = [(n, prefix, choice, size_filter) for choice in range(1 << prefix)]
     found = []
     for part in run_sharded(_scsf_shard, shards, workers):
@@ -212,7 +218,7 @@ def exhaustive_scsf(
         props = classify(member)
         if not (props.symmetric and props.sum_free and props.complete):
             raise ConstructionError(f"search returned a non-member {member}: {props}")
-    return Catalog(n, size_filter, members, _group_into_classes(members))
+    return Catalog(n, size_filter, members)
 
 
 def _max_sum_free_extend(
@@ -280,7 +286,7 @@ def exhaustive_max_sum_free(
     members = tuple(
         CyclicSet(p, bits) for size, bits in sorted(leaves) if size == max_size
     )
-    return MaxSumFreeCatalog(p, max_size, members, _group_into_classes(members))
+    return MaxSumFreeCatalog(p, max_size, members)
 
 
 @dataclass(frozen=True)
@@ -331,7 +337,7 @@ def characterization_probe(
     special_count = 0
     definition_valid = theorem_valid = False
     predicted: Optional[PredictedCount] = None
-    if t is not None and t >= 1:
+    if t is not None:
         params = STParameters(p, s)
         definition_valid = params.definition_valid
         theorem_valid = params.theorem_valid

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from ._parallel import require_workers, run_sharded
+from ._parallel import SHARD_BITS, require_workers, run_sharded
 from ._primes import is_prime
 from .errors import BudgetExceededError, DomainError, ParameterError
 from .st_family import TCandidate, _is_special_mask
@@ -64,10 +64,6 @@ def is_t_special(T: TCandidate) -> bool:
     consulted for nonempty sets, so the predicate is total.
     """
     return _is_special_mask(T.mask, T.t)
-
-
-# the search shards on the include/exclude choices of the lowest positions
-_SHARD_PREFIX = 6
 
 
 def _with_member(x: int, T: int, T2: int, T3: int) -> Tuple[int, int, int]:
@@ -141,7 +137,7 @@ def enumerate_special(
             required=cost,
             limit=limit,
         )
-    prefix = min(_SHARD_PREFIX, 2 * t)
+    prefix = min(SHARD_BITS, 2 * t)
     shards = [(t, prefix, choice) for choice in range(1 << prefix)]
     masks: List[int] = []
     for shard_masks in run_sharded(_special_shard, shards, workers):

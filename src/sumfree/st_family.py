@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from ._bits import bit_positions, mirror
-from ._parallel import require_workers, run_sharded
+from ._parallel import require_workers, run_sharded, shard_ranges
 from .errors import (
     BudgetExceededError,
     ConstructionError,
@@ -253,13 +253,7 @@ def verify_st_equivalence(
             required=total,
             limit=limit,
         )
-    shards = []
-    chunk = max(1, total // workers)
-    lo = 0
-    while lo < total:
-        hi = min(total, lo + chunk)
-        shards.append((n, s, lo, hi))
-        lo = hi
+    shards = [(n, s, block.start, block.stop) for block in shard_ranges(total)]
     results = run_sharded(_verify_chunk, shards, workers)
     special_count = sum(r[0] for r in results)
     counterexamples: list = []

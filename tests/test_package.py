@@ -11,7 +11,8 @@ import pkgutil
 import pytest
 
 import sumfree
-from sumfree._parallel import _pool_size
+from sumfree import applications, search_oracle, special_sets, st_family
+from sumfree._parallel import _pool_size, shard_ranges
 from sumfree.applications import ProcessConfig, simulate_random_sumfree
 from sumfree.errors import ParameterError
 from sumfree.search_oracle import characterization_probe, exhaustive_scsf
@@ -44,6 +45,49 @@ def test_pool_size_is_capped_by_cpus_and_shards():
     assert _pool_size(10**9, 3) == min(3, cpus)
     assert _pool_size(1, 10**9) == 1
     assert _pool_size(0, 5) == 0
+
+
+@pytest.mark.parametrize("total", [1, 2, 63, 64, 65, 200, 4**12, 10**9 + 7])
+def test_shard_ranges_cut_the_input_into_at_most_64_blocks(total):
+    blocks = shard_ranges(total)
+    assert 1 <= len(blocks) <= 64
+    assert blocks[0].start == 0 and blocks[-1].stop == total
+    assert all(len(block) > 0 for block in blocks)
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+
+# each sharded entry point, with the module whose run_sharded it calls
+SHARDED_CALLS = {
+    "enumerate_special": (special_sets, lambda w: enumerate_special(8, workers=w)),
+    "exhaustive_scsf": (search_oracle, lambda w: exhaustive_scsf(30, workers=w)),
+    # t = 4: 256 windows
+    "verify_st_equivalence": (
+        st_family, lambda w: verify_st_equivalence(61, 18, workers=w)
+    ),
+    "simulate_random_sumfree": (
+        applications,
+        lambda w: simulate_random_sumfree(
+            ProcessConfig(horizon=20, trials=200, seed=1), workers=w
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARDED_CALLS))
+def test_shards_depend_on_the_input_not_the_worker_count(monkeypatch, name):
+    # the recorder runs every shard in-process, so no worker process starts
+    module, call = SHARDED_CALLS[name]
+    recorded = []
+
+    def recorder(fn, shards, workers):
+        recorded.append(list(shards))
+        return [fn(*args) for args in shards]
+
+    monkeypatch.setattr(module, "run_sharded", recorder)
+    reports = [call(workers) for workers in (1, 2, 10**9)]
+    assert recorded[0] == recorded[1] == recorded[2]
+    assert 1 < len(recorded[0]) <= 64
+    assert reports[0] == reports[1] == reports[2]
 
 
 # one small valid call per public function that takes `workers`

@@ -9,9 +9,11 @@ against the per-member canonical form it replaced.
 import pytest
 
 from oracles import brute_special, classes_per_member
+from sumfree import search_oracle
 from sumfree._primes import is_prime
 from sumfree.errors import BudgetExceededError, ConstructionError, DomainError
 from sumfree.search_oracle import (
+    Catalog,
     _group_into_classes,
     _scsf_shard,
     characterization_probe,
@@ -103,8 +105,24 @@ def test_catalog_without_members_has_no_classes():
 
 def test_classes_refuse_a_catalog_not_closed_under_dilation():
     # 3 * {3, 4, 5} = {1, 4, 7} in Z_8 is missing
+    members = (CyclicSet.from_elements(8, [3, 4, 5]),)
     with pytest.raises(ConstructionError, match="not closed under unit dilation"):
-        _group_into_classes((CyclicSet.from_elements(8, [3, 4, 5]),))
+        _group_into_classes(members)
+    # the check runs whenever classes are read, not when the catalog is built
+    catalog = Catalog(8, None, members)
+    with pytest.raises(ConstructionError, match="not closed under unit dilation"):
+        catalog.classes
+
+
+def test_catalogs_split_into_classes_only_when_read(monkeypatch):
+    # the probe and `search exhaustive` without --classes read members only
+    def refuse(members):
+        raise AssertionError("classes computed but never read")
+
+    monkeypatch.setattr(search_oracle, "_group_into_classes", refuse)
+    assert len(exhaustive_scsf(40).members) > 0
+    assert characterization_probe(29, 8).catalog_count > 0
+    assert len(exhaustive_max_sum_free(11).members) == 5
 
 
 def test_catalog_size_filter_consistent():
