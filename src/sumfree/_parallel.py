@@ -16,7 +16,7 @@ from typing import Callable, List, Sequence, Tuple
 from .errors import ParameterError
 
 # the DFS searches fix the choices on their first SHARD_BITS positions;
-# the sweeps cut their range into 2**SHARD_BITS blocks
+# the simulation cuts its trials into 2**SHARD_BITS blocks
 SHARD_BITS = 6
 
 

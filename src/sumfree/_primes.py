@@ -1,13 +1,20 @@
-"""Deterministic primality testing for 64-bit inputs."""
+"""Deterministic primality testing below the witness set's proven bound."""
 
 from __future__ import annotations
 
-# Witness set proven sufficient for every n < 3.3 * 10^24, far beyond 64 bits.
+from .errors import DomainError
+
+# The first twelve primes as witnesses are proven sufficient for every n
+# below 318665857834031151167461 (about 3.2 * 10^23), the least composite
+# all twelve pass; that is far beyond 64 bits.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PROVEN_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set; exact for n < 2**64."""
+    """Miller-Rabin on fixed witnesses: exact below _PROVEN_BELOW, refused above."""
+    if n >= _PROVEN_BELOW:
+        raise DomainError(f"primality of {n} is proven only below {_PROVEN_BELOW}")
     if n < 2:
         return False
     for p in _WITNESSES:

@@ -38,9 +38,10 @@ from .search_oracle import (
     characterization_probe,
     exhaustive_max_sum_free,
     exhaustive_scsf,
+    verify_st_equivalence,
 )
 from .special_sets import enumerate_special, predicted_scsf_count
-from .st_family import STParameters, TCandidate, build_st, verify_st_equivalence
+from .st_family import STParameters, TCandidate, build_st
 from .zn_core import CyclicSet, classify, set_from_json, set_to_json
 
 __all__ = ["CommandEnvelope", "dispatch", "main"]
@@ -269,16 +270,9 @@ def _cmd_cayley(args: argparse.Namespace) -> CommandEnvelope:
     if args.format == "edges":
         return CommandEnvelope(graph.to_edge_list(), text=True)
     props = graph_properties(graph)
-    payload = {
-        "n": graph.n,
-        "degree": props.degree,
-        "regular": props.regular,
-        "triangle_free": props.triangle_free,
-        "diameter": props.diameter,
-        # the diameter is always exact; the key stays so the payload
-        # bytes pinned by tests/test_cli.py and perfbench/golden.json hold
-        "diameter_sampled": False,
-    }
+    # the diameter is always exact; "diameter_sampled" stays so the payload
+    # bytes pinned by tests/test_cli.py and perfbench/golden.json hold
+    payload = {"n": graph.n, **asdict(props), "diameter_sampled": False}
     return CommandEnvelope(payload)
 
 

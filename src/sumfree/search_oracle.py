@@ -1,10 +1,12 @@
 """Exhaustive ground truth for the constructions.
 
 Catalogs of symmetric complete sum-free sets for small moduli, maximum
-sum-free sets for small primes, and evidence reports comparing catalogs
-against the dilation closure of the central-interval construction.  The
-searches are exhaustive, so the constructions are tested against them,
-never the other way round.
+sum-free sets for small primes, evidence reports comparing catalogs
+against the dilation closure of the central-interval construction, and
+the S_T equivalence sweep, which compares the t-special windows with the
+windows whose S_T the catalog search accepts.  The searches are
+exhaustive, so the constructions are tested against them, never the
+other way round.
 """
 
 from __future__ import annotations
@@ -12,29 +14,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from ._bits import mirror, rotate
+from ._bits import bit_positions, mirror, rotate
 from ._parallel import SHARD_BITS, require_workers, run_sharded
 from ._primes import is_prime
-from .errors import BudgetExceededError, ConstructionError, DomainError
+from .errors import BudgetExceededError, ConstructionError, DomainError, ParameterError
 from .special_sets import PredictedCount, _predicted_count, enumerate_special
-from .st_family import STParameters, build_st
-from .zn_core import CyclicSet, classify, dilate, units
+from .st_family import STParameters, _st_bits, build_st
+from .zn_core import CyclicSet, _sumset_bits, classify, dilate, interval, units
 
 __all__ = [
     "Catalog",
     "MaxSumFreeCatalog",
     "DilationClass",
     "ProbeReport",
+    "EquivalenceReport",
     "exhaustive_scsf",
     "exhaustive_max_sum_free",
     "characterization_probe",
+    "verify_st_equivalence",
     "DEFAULT_SCSF_BUDGET",
     "DEFAULT_MAX_PRIME",
+    "DEFAULT_EQUIV_BUDGET",
 ]
 
 # 2^(n//2) symmetric candidates: n <= 44 by default
 DEFAULT_SCSF_BUDGET = 1 << 22
 DEFAULT_MAX_PRIME = 43
+# 4**t windows; the default admits t <= 12
+DEFAULT_EQUIV_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -158,27 +165,41 @@ def _orbit_shifts(orbit: int, n: int) -> Tuple[int, ...]:
 
 def _scsf_shard(
     n: int,
+    orbits: List[int],
+    start: int,
     orbits_prefix_len: int,
     prefix_choice: int,
     size_filter: Optional[int],
 ) -> List[int]:
-    """Run the search with the first orbits fixed by the choice bitmap."""
-    orbits = _pair_orbits(n)
+    """Search start plus subsets of the orbits, the first fixed by the choice bitmap.
+
+    The catalog starts from the empty set over every negation orbit, the
+    S_T equivalence sweep from the central interval over the window orbits.
+    """
     suffix = [0] * (len(orbits) + 1)
     for i in range(len(orbits) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + orbits[i].bit_count()
-    s_bits, ss_bits = 0, 0
+    s_bits, ss_bits = start, _sumset_bits(start, start, n)
     for i in range(orbits_prefix_len):
-        if not prefix_choice >> i & 1:
-            continue
-        s_bits |= orbits[i]
-        for x in _orbit_shifts(orbits[i], n):
-            ss_bits |= rotate(s_bits, x, n)
-        if s_bits & ss_bits:
-            return []
+        if prefix_choice >> i & 1:
+            s_bits |= orbits[i]
+            for x in _orbit_shifts(orbits[i], n):
+                ss_bits |= rotate(s_bits, x, n)
+    # S and S + S only grow, so a sum-free violation here is permanent
+    if s_bits & ss_bits:
+        return []
     out: List[int] = []
     _scsf_dfs(n, orbits, suffix, orbits_prefix_len, s_bits, ss_bits, size_filter, out)
     return out
+
+
+def _scsf_search(
+    n: int, orbits: List[int], start: int, size_filter: Optional[int], workers: int
+) -> List[int]:
+    """Every leaf of the orbit search, sharded on the first SHARD_BITS orbits."""
+    prefix = min(SHARD_BITS, len(orbits))
+    shards = [(n, orbits, start, prefix, c, size_filter) for c in range(1 << prefix)]
+    return [bits for part in run_sharded(_scsf_shard, shards, workers) for bits in part]
 
 
 def exhaustive_scsf(
@@ -208,11 +229,7 @@ def exhaustive_scsf(
             required=cost,
             limit=limit,
         )
-    prefix = min(SHARD_BITS, len(_pair_orbits(n)))
-    shards = [(n, prefix, choice, size_filter) for choice in range(1 << prefix)]
-    found = []
-    for part in run_sharded(_scsf_shard, shards, workers):
-        found.extend(part)
+    found = _scsf_search(n, _pair_orbits(n), 0, size_filter, workers)
     members = tuple(CyclicSet(n, bits) for bits in sorted(found))
     for member in members:
         props = classify(member)
@@ -372,4 +389,80 @@ def characterization_probe(
         catalog_only=catalog_only,
         construction_only=construction_only,
         predicted=predicted,
+    )
+
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """Outcome of comparing the t-special windows with the valid S_T.
+
+    Counterexamples are the windows, as sorted member tuples, on which
+    the two sides disagree.
+    """
+
+    n: int
+    s: int
+    t: int
+    candidates: int
+    special_count: int
+    counterexamples: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.counterexamples
+
+
+def verify_st_equivalence(
+    n: int,
+    s: int,
+    *,
+    budget: Optional[int] = None,
+    workers: int = 1,
+) -> EquivalenceReport:
+    """Check, for every window T, that T is t-special iff S_T is valid.
+
+    Requires the proven range (theorem-valid).  Two exhaustive searches
+    decide all 4**t windows: ``enumerate_special`` finds the t-special T,
+    and the catalog search over the 2t window orbits {s + x, n - s - x},
+    from the central interval with size filter s, finds every T whose S_T
+    is complete and sum-free.  Each cuts a branch only when no superset
+    can pass (2t - 1 in T + T + T; S_T meets S_T + S_T; |T| > t), so
+    neither takes its verdict from the theorem under test.  The budget
+    counts the 4**t windows and is refused up front.
+    """
+    require_workers(workers)
+    params = STParameters(n, s)
+    if not params.theorem_valid:
+        raise ParameterError(
+            f"(n, s) = ({n}, {s}) outside the proven range 2n <= 7s - 2"
+        )
+    params.require_definition_valid()
+    t = params.t
+    total = 1 << (2 * t)
+    limit = DEFAULT_EQUIV_BUDGET if budget is None else budget
+    if total > limit:
+        raise BudgetExceededError(
+            f"equivalence sweep needs {total} candidates, budget is {limit}",
+            required=total,
+            limit=limit,
+        )
+    # C(2t, t) <= 4**t <= limit, so the enumeration never refuses
+    specials = enumerate_special(t, budget=limit, workers=workers)
+    special = {T.mask for T in specials.sets}
+    central = interval(n, n - 2 * s + 1, 2 * s - 1).bits
+    # the orbit of window position x is S_T for T = {x} without the interval
+    orbits = [_st_bits(0, 1 << x, t, s) for x in range(2 * t)]
+    # s + T sits in bits s .. s + 2t - 1 of S_T
+    valid = {
+        bits >> s & (total - 1)
+        for bits in _scsf_search(n, orbits, central, s, workers)
+    }
+    counterexamples = sorted(tuple(bit_positions(mask)) for mask in special ^ valid)
+    return EquivalenceReport(
+        n=n,
+        s=s,
+        t=t,
+        candidates=total,
+        special_count=specials.g,
+        counterexamples=tuple(counterexamples),
     )

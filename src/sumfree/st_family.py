@@ -6,42 +6,29 @@ integer, every subset T of [0, 2t - 1] yields the symmetric set
     S_T = [n - 2s + 1, 2s - 1]  u  (s + T)  u  -(s + T)   (mod n).
 
 Whether S_T is sum-free or complete reduces to plain integer conditions on
-T; this module provides the construction, the two conditions, and an
-exhaustive verifier that replays the reduction against the group-side
-predicates for every candidate T.  It holds the one t-special test
-(``_is_special_mask``: size t plus both conditions), which ``special_sets``
-uses too, and the one bit layout of S_T (``_st_bits``), which ``build_st``
-and the verifier share.
+T; this module provides the construction and the two conditions.  It holds
+the one t-special test (``_is_special_mask``: size t plus both conditions),
+which ``special_sets`` uses too, and the one bit layout of S_T
+(``_st_bits``), which ``build_st`` and the equivalence sweep in
+``search_oracle`` share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from ._bits import bit_positions, mirror
-from ._parallel import require_workers, run_sharded, shard_ranges
-from .errors import (
-    BudgetExceededError,
-    ConstructionError,
-    DomainError,
-    ParameterError,
-)
-from .zn_core import CyclicSet, _sumset_bits, interval
+from .errors import ConstructionError, DomainError, ParameterError
+from .zn_core import CyclicSet, interval
 
 __all__ = [
     "STParameters",
     "TCandidate",
-    "EquivalenceReport",
     "build_st",
     "st_sum_free_condition",
     "st_completeness_condition",
-    "verify_st_equivalence",
-    "DEFAULT_EQUIV_BUDGET",
 ]
-
-# 4**t candidates; the default admits t <= 12
-DEFAULT_EQUIV_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -177,93 +164,10 @@ def build_st(params: STParameters, T: TCandidate) -> CyclicSet:
     return result
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of replaying the T-side conditions against the group side."""
-
-    n: int
-    s: int
-    t: int
-    candidates: int
-    special_count: int
-    counterexamples: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
 def _is_special_mask(mask: int, t: int) -> bool:
     """The t-special test: size t, the sum-free and the completeness condition."""
     return (
         mask.bit_count() == t
         and _sum_free_condition_mask(mask, t)
         and _completeness_condition_mask(mask, t)
-    )
-
-
-def _verify_chunk(n: int, s: int, lo: int, hi: int) -> Tuple[int, list]:
-    params = STParameters(n, s)
-    t = params.t
-    central = interval(n, n - 2 * s + 1, 2 * s - 1).bits
-    group_mask = (1 << n) - 1
-    special_count = 0
-    counterexamples = []
-    for mask in range(lo, hi):
-        special = _is_special_mask(mask, t)
-        if special:
-            special_count += 1
-        bits = _st_bits(central, mask, t, s)
-        ss = _sumset_bits(bits, bits, n)
-        group_side = (
-            ss & bits == 0
-            and (bits | ss) == group_mask
-            and bits.bit_count() == s
-        )
-        if special != group_side:
-            counterexamples.append(tuple(bit_positions(mask)))
-    return special_count, counterexamples
-
-
-def verify_st_equivalence(
-    n: int,
-    s: int,
-    *,
-    budget: Optional[int] = None,
-    workers: int = 1,
-) -> EquivalenceReport:
-    """Check, for every T, that the integer conditions match the group predicates.
-
-    Requires parameters in the range where the reduction is proven
-    (theorem-valid), and walks all 4**t candidates.
-    """
-    require_workers(workers)
-    params = STParameters(n, s)
-    if not params.theorem_valid:
-        raise ParameterError(
-            f"(n, s) = ({n}, {s}) outside the proven range 2n <= 7s - 2"
-        )
-    params.require_definition_valid()
-    t = params.t
-    total = 1 << (2 * t)
-    limit = DEFAULT_EQUIV_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceededError(
-            f"equivalence sweep needs {total} candidates, budget is {limit}",
-            required=total,
-            limit=limit,
-        )
-    shards = [(n, s, block.start, block.stop) for block in shard_ranges(total)]
-    results = run_sharded(_verify_chunk, shards, workers)
-    special_count = sum(r[0] for r in results)
-    counterexamples: list = []
-    for r in results:
-        counterexamples.extend(r[1])
-    return EquivalenceReport(
-        n=n,
-        s=s,
-        t=t,
-        candidates=total,
-        special_count=special_count,
-        counterexamples=tuple(sorted(counterexamples)),
     )

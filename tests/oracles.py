@@ -7,19 +7,40 @@ re-enumerates the t-special windows with plain set arithmetic;
 sumset claims of the interval-plus-progression construction;
 ``canonical_dilation_class`` and ``classes_per_member`` split a catalog
 into dilation classes one member at a time, as the library did before
-its orbit sweep.
+its orbit sweep; ``equivalence_per_window`` builds S_T for each of the
+4^t windows and runs the group predicates on it, as the library did
+before its equivalence sweep compared two searches.
 """
 
 from itertools import product
 from typing import Dict, List, Tuple
 
-from sumfree._bits import mirror
+from sumfree._bits import bit_positions, mirror
 from sumfree.errors import ConstructionError
 from sumfree.interval_ap_family import IntervalAPParameters, _half_even, component_sets
-from sumfree.search_oracle import DilationClass
+from sumfree.search_oracle import DilationClass, EquivalenceReport
 from sumfree.special_sets import SpecialEnumeration
-from sumfree.st_family import TCandidate
-from sumfree.zn_core import CyclicSet, dilate, interval, negate, sumset, units
+from sumfree.st_family import STParameters, TCandidate, _is_special_mask, _st_bits
+from sumfree.zn_core import (
+    CyclicSet,
+    _sumset_bits,
+    dilate,
+    interval,
+    negate,
+    sumset,
+    units,
+)
+
+
+def theorem_valid_pairs(max_n=200, max_t=6):
+    """All (n, s) with t in [1, max_t], n <= max_n, in the proven range."""
+    out = []
+    for t in range(1, max_t + 1):
+        s = 4 * t  # smallest s with 2n <= 7s - 2 at this t
+        while 3 * s + 2 * t - 1 <= max_n:
+            out.append((3 * s + 2 * t - 1, s))
+            s += 1
+    return out
 
 
 def brute_special(t: int) -> SpecialEnumeration:
@@ -104,4 +125,38 @@ def classes_per_member(members: Tuple[CyclicSet, ...]) -> Tuple[DilationClass, .
     return tuple(
         DilationClass(reps[bits], len(bucket))
         for bits, bucket in sorted(buckets.items())
+    )
+
+
+def equivalence_per_window(n: int, s: int) -> EquivalenceReport:
+    """The S_T equivalence report, one window at a time.
+
+    Every mask T of [0, 2t - 1] gets the t-special test and a full S_T
+    with a fresh sumset, and the two verdicts are compared.  It walks all
+    4^t windows, so keep t <= 8.
+    """
+    t = STParameters(n, s).t
+    central = interval(n, n - 2 * s + 1, 2 * s - 1).bits
+    group_mask = (1 << n) - 1
+    special_count = 0
+    counterexamples = []
+    for mask in range(1 << (2 * t)):
+        special = _is_special_mask(mask, t)
+        special_count += special
+        bits = _st_bits(central, mask, t, s)
+        ss = _sumset_bits(bits, bits, n)
+        group_side = (
+            ss & bits == 0
+            and (bits | ss) == group_mask
+            and bits.bit_count() == s
+        )
+        if special != group_side:
+            counterexamples.append(tuple(bit_positions(mask)))
+    return EquivalenceReport(
+        n=n,
+        s=s,
+        t=t,
+        candidates=1 << (2 * t),
+        special_count=special_count,
+        counterexamples=tuple(sorted(counterexamples)),
     )

@@ -9,7 +9,12 @@ frozen regression ceilings stay auditable.
 import math
 import time
 
-from oracles import bc_interval_check, brute_special, gap_fill_check
+from oracles import (
+    bc_interval_check,
+    brute_special,
+    gap_fill_check,
+    theorem_valid_pairs,
+)
 from sumfree.applications import (
     ProcessConfig,
     cayley_graph,
@@ -28,21 +33,11 @@ from sumfree.search_oracle import (
     characterization_probe,
     exhaustive_max_sum_free,
     exhaustive_scsf,
+    verify_st_equivalence,
 )
 from sumfree.special_sets import enumerate_special, is_t_special, iter_lower_bound_family
-from sumfree.st_family import STParameters, build_st, verify_st_equivalence
+from sumfree.st_family import STParameters, build_st
 from sumfree.zn_core import CyclicSet
-
-
-def theorem_valid_pairs(max_n=200, max_t=6):
-    """All (n, s) with t in [1, max_t], n <= max_n, in the proven range."""
-    out = []
-    for t in range(1, max_t + 1):
-        s = 4 * t  # smallest s with 2n <= 7s - 2 at this t
-        while 3 * s + 2 * t - 1 <= max_n:
-            out.append((3 * s + 2 * t - 1, s))
-            s += 1
-    return out
 
 
 def grid_cells(t_range):

@@ -15,8 +15,9 @@ import sys
 import pytest
 
 import sumfree
-from sumfree import cli
+from sumfree import cli, search_oracle
 from sumfree.cli import build_parser, dispatch, main
+from sumfree.special_sets import SpecialEnumeration, enumerate_special
 from sumfree.zn_core import classify, set_from_json
 
 
@@ -128,6 +129,20 @@ def test_st_equiv_green(capsys):
     assert payload["counterexamples"] == []
 
 
+def test_st_equiv_counterexample_exits_one(capsys, monkeypatch):
+    # a T side that misses one special window must surface on stdout
+    missed = enumerate_special(4).sets[0]
+    monkeypatch.setattr(
+        search_oracle,
+        "enumerate_special",
+        lambda t, **kwargs: SpecialEnumeration(t, enumerate_special(t).sets[1:]),
+    )
+    code, out, _ = run(capsys, "st", "equiv", "--n", "61", "--s", "18")
+    assert code == 1
+    assert '"ok":false' in out
+    assert json.loads(out)["counterexamples"] == [list(missed.members)]
+
+
 # --- special ---
 
 
@@ -149,6 +164,22 @@ def test_special_predict(capsys):
     assert payload["count"] == 60
     assert payload["asymptotic_claim"] is True
     assert payload["vacuous"] is False
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # 399165290221 * 798330580441, the least composite that passes
+        # Miller-Rabin to every prime base up to 37
+        "318665857834031151167461",
+        # 1287836182261 * 2575672364521
+        "3317044064679887385961981",
+    ],
+)
+def test_special_predict_refuses_p_beyond_the_proven_primality_range(capsys, p):
+    code, payload = run_json(capsys, "special", "predict", "--p", p, "--r", "2")
+    assert code == 1
+    assert payload["error"]["type"] == "DomainError"
 
 
 # --- constructions ---

@@ -1,5 +1,5 @@
 """Package-wide checks: exported names and their callers, worker counts,
-pool sizing, no asserts."""
+pool sizing, no asserts, no imports inside functions."""
 
 import ast
 import importlib
@@ -11,13 +11,16 @@ import pkgutil
 import pytest
 
 import sumfree
-from sumfree import applications, search_oracle, special_sets, st_family
+from sumfree import applications, search_oracle, special_sets
 from sumfree._parallel import _pool_size, shard_ranges
 from sumfree.applications import ProcessConfig, simulate_random_sumfree
 from sumfree.errors import ParameterError
-from sumfree.search_oracle import characterization_probe, exhaustive_scsf
+from sumfree.search_oracle import (
+    characterization_probe,
+    exhaustive_scsf,
+    verify_st_equivalence,
+)
 from sumfree.special_sets import enumerate_special
-from sumfree.st_family import verify_st_equivalence
 
 MODULES = [
     module
@@ -56,16 +59,17 @@ def test_shard_ranges_cut_the_input_into_at_most_64_blocks(total):
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
 
-# each sharded entry point, with the module whose run_sharded it calls
+# each sharded entry point, with the modules whose run_sharded it calls
 SHARDED_CALLS = {
-    "enumerate_special": (special_sets, lambda w: enumerate_special(8, workers=w)),
-    "exhaustive_scsf": (search_oracle, lambda w: exhaustive_scsf(30, workers=w)),
-    # t = 4: 256 windows
+    "enumerate_special": ((special_sets,), lambda w: enumerate_special(8, workers=w)),
+    "exhaustive_scsf": ((search_oracle,), lambda w: exhaustive_scsf(30, workers=w)),
+    # t = 4: the special windows, then the S_T over the window orbits
     "verify_st_equivalence": (
-        st_family, lambda w: verify_st_equivalence(61, 18, workers=w)
+        (search_oracle, special_sets),
+        lambda w: verify_st_equivalence(61, 18, workers=w),
     ),
     "simulate_random_sumfree": (
-        applications,
+        (applications,),
         lambda w: simulate_random_sumfree(
             ProcessConfig(horizon=20, trials=200, seed=1), workers=w
         ),
@@ -76,17 +80,22 @@ SHARDED_CALLS = {
 @pytest.mark.parametrize("name", sorted(SHARDED_CALLS))
 def test_shards_depend_on_the_input_not_the_worker_count(monkeypatch, name):
     # the recorder runs every shard in-process, so no worker process starts
-    module, call = SHARDED_CALLS[name]
+    modules, call = SHARDED_CALLS[name]
     recorded = []
 
     def recorder(fn, shards, workers):
         recorded.append(list(shards))
         return [fn(*args) for args in shards]
 
-    monkeypatch.setattr(module, "run_sharded", recorder)
+    for module in modules:
+        monkeypatch.setattr(module, "run_sharded", recorder)
     reports = [call(workers) for workers in (1, 2, 10**9)]
-    assert recorded[0] == recorded[1] == recorded[2]
-    assert 1 < len(recorded[0]) <= 64
+    # one shard list per search, for each of the three calls
+    searches = len(modules)
+    assert len(recorded) == 3 * searches
+    per_call = [recorded[i:i + searches] for i in range(0, len(recorded), searches)]
+    assert per_call[0] == per_call[1] == per_call[2]
+    assert all(1 < len(shards) <= 64 for shards in recorded)
     assert reports[0] == reports[1] == reports[2]
 
 
@@ -133,6 +142,33 @@ def test_no_assert_in_package_source(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def _imports_inside_functions(tree):
+    """Line numbers of import statements anywhere under a def in tree."""
+    return sorted(
+        {
+            node.lineno
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_import_scan_finds_a_nested_import():
+    tree = ast.parse("import os\ndef f():\n    def g():\n        from x import y\n")
+    assert _imports_inside_functions(tree) == [4]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    # every dependency between modules shows at the top of the file, so a
+    # lazy import cannot hide an import cycle between the layers
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _imports_inside_functions(tree)
+    assert not lines, f"{path.name} imports inside functions at lines {lines}"
 
 
 LAYERS = [

@@ -3,24 +3,36 @@
 The exhaustive searchers are themselves checked against an even dumber
 oracle: literal iteration over all 2^n subsets with the zn_core predicates.
 The orbit sweep that splits a catalog into dilation classes is checked
-against the per-member canonical form it replaced.
+against the per-member canonical form it replaced, and the S_T
+equivalence sweep against the per-window loop it replaced.
 """
 
 import pytest
 
-from oracles import brute_special, classes_per_member
+from oracles import (
+    brute_special,
+    classes_per_member,
+    equivalence_per_window,
+    theorem_valid_pairs,
+)
 from sumfree import search_oracle
 from sumfree._primes import is_prime
 from sumfree.errors import BudgetExceededError, ConstructionError, DomainError
 from sumfree.search_oracle import (
     Catalog,
     _group_into_classes,
+    _pair_orbits,
     _scsf_shard,
     characterization_probe,
     exhaustive_max_sum_free,
     exhaustive_scsf,
+    verify_st_equivalence,
 )
-from sumfree.special_sets import enumerate_special, predicted_scsf_count
+from sumfree.special_sets import (
+    SpecialEnumeration,
+    enumerate_special,
+    predicted_scsf_count,
+)
 from sumfree.zn_core import (
     CyclicSet,
     classify,
@@ -141,7 +153,7 @@ def test_catalog_workers_agree():
     for n in range(1, 31):
         for size_filter in (None, 4, 6):
             single = exhaustive_scsf(n, size_filter)
-            unsharded = sorted(_scsf_shard(n, 0, 0, size_filter))
+            unsharded = sorted(_scsf_shard(n, _pair_orbits(n), 0, 0, 0, size_filter))
             assert [m.bits for m in single.members] == unsharded
             assert exhaustive_scsf(n, size_filter, workers=3) == single
 
@@ -158,6 +170,53 @@ def test_catalog_budget_refusal():
 @pytest.mark.parametrize("t", range(1, 7))
 def test_brute_special_matches_streamed(t):
     assert brute_special(t) == enumerate_special(t)
+
+
+# --- S_T equivalence sweep against the per-window oracle ---
+
+
+def test_equivalence_matches_per_window_oracle():
+    # the theorem-valid pairs of acceptance criterion 1, then one t = 8 pair
+    pairs = theorem_valid_pairs() + [(111, 32)]
+    assert len(pairs) == 309
+    for n, s in pairs:
+        assert verify_st_equivalence(n, s) == equivalence_per_window(n, s), (n, s)
+
+
+def _drop_window_from_specials(monkeypatch, mask):
+    honest = search_oracle.enumerate_special
+
+    def lossy(t, **kwargs):
+        found = honest(t, **kwargs)
+        return SpecialEnumeration(t, tuple(T for T in found.sets if T.mask != mask))
+
+    monkeypatch.setattr(search_oracle, "enumerate_special", lossy)
+
+
+def _drop_window_from_group_side(monkeypatch, mask):
+    honest = search_oracle._scsf_shard
+
+    def lossy(*shard):
+        # at (61, 18) the window T sits in bits 18 .. 25 of S_T
+        return [bits for bits in honest(*shard) if bits >> 18 & 0xFF != mask]
+
+    monkeypatch.setattr(search_oracle, "_scsf_shard", lossy)
+
+
+@pytest.mark.parametrize(
+    "drop",
+    [_drop_window_from_specials, _drop_window_from_group_side],
+    ids=["special_side", "group_side"],
+)
+def test_equivalence_lists_the_window_the_sides_disagree_on(monkeypatch, drop):
+    # (61, 18) has t = 4, so windows are 8-bit masks; lose one valid
+    # window on one side and exactly that window must come back
+    window = enumerate_special(4).sets[1]
+    drop(monkeypatch, window.mask)
+    report = verify_st_equivalence(61, 18)
+    assert not report.ok
+    assert report.counterexamples == (window.members,)
+    assert report.candidates == 256
 
 
 # --- maximum sum-free sets ---

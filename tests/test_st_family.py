@@ -10,13 +10,13 @@ import itertools
 import pytest
 
 from sumfree.errors import BudgetExceededError, DomainError, ParameterError
+from sumfree.search_oracle import verify_st_equivalence
 from sumfree.st_family import (
     STParameters,
     TCandidate,
     build_st,
     st_completeness_condition,
     st_sum_free_condition,
-    verify_st_equivalence,
 )
 from sumfree.zn_core import classify, interval, is_complete, is_sum_free, negate
 
@@ -223,3 +223,8 @@ def test_equivalence_budget_refusal():
 
 def test_equivalence_workers_agree():
     assert verify_st_equivalence(61, 18, workers=2) == verify_st_equivalence(61, 18)
+    # t = 8: both searches run 64 shards in-process, then in pools
+    single = verify_st_equivalence(111, 32)
+    assert (single.t, single.candidates, single.ok) == (8, 4**8, True)
+    for workers in (2, 3):
+        assert verify_st_equivalence(111, 32, workers=workers) == single
