@@ -6,7 +6,9 @@ triangle-free graph of diameter 2, splits Z_p into the three-part partition
 random sum-free process of repeatedly joining each non-sum with probability
 one half.  Each claim is checked computationally here, never assumed; the
 graph properties are checked at vertex 0 and extend to every vertex because
-Cayley graphs are vertex-transitive.
+Cayley graphs are vertex-transitive.  The process runs bit-sliced: a block
+of trials shares one pass over the horizon, 64 trials to a uint64 word, and
+each step is a handful of numpy operations on whole rows of words.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from numpy.random import Generator, Philox
+import numpy as np
+from numpy.random import Philox
 
 from ._bits import rotate
 from ._parallel import require_workers, run_sharded, shard_ranges
@@ -237,18 +240,60 @@ class SimulationReport:
         return self.joined_total / (self.contained_trials * self.config.horizon)
 
 
-def _trial_coins(seed: int, trial: int, horizon: int) -> int:
-    """Coin bits for one trial; bit z = the coin for step z, z in [1, N].
+# (shift, mask) for the six block swaps of a 64 x 64 bit-matrix transpose;
+# mask keeps the low half of every 2 * shift bits
+_TRANSPOSE_STAGES = (
+    (32, 0x00000000FFFFFFFF),
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
+)
 
-    Streams are keyed by (seed, trial) with the block counter supplying the
-    step dimension, so any trial sharding yields identical coins.
+
+def _transpose_words(rows: np.ndarray) -> None:
+    """Transpose every 64 x 64 bit block of a (64, C) uint64 array in place.
+
+    Afterwards bit i of rows[j, c] is what bit j of rows[i, c] was.  Each
+    stage swaps the off-diagonal sub-blocks of every 2s x 2s tile at once.
     """
-    gen = Generator(Philox(key=[seed, trial]))
-    raw = int.from_bytes(gen.bytes((horizon + 7) // 8), "little")
-    return (raw & ((1 << horizon) - 1)) << 1
+    for shift, mask in _TRANSPOSE_STAGES:
+        pairs = rows.reshape(32 // shift, 2, shift, -1)
+        low, high = pairs[:, 0], pairs[:, 1]
+        swap = ((low >> shift) ^ high) & mask
+        high ^= swap
+        low ^= swap << shift
 
 
-def _run_trial_block(
+def _lane_coins(horizon: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Coins of trials start .. start + count - 1, bit-sliced.
+
+    Bit i of word w in row z is the coin of trial start + 64 w + i at step
+    z; row 0 and the padding lanes past count are zero.  A trial's coins are
+    the first horizon bits of its own Philox stream keyed by (seed, trial),
+    the bits of Generator(Philox(key=[seed, trial])).bytes in order, so any
+    sharding of the trials yields identical coins.  The 64 streams of one
+    word are transposed together, so nothing larger than the result is built.
+    """
+    words = -(-count // 64)
+    chunks = -(-horizon // 64)
+    coins = np.zeros((horizon + 1, words), np.uint64)
+    rows = np.empty((64, chunks), np.uint64)
+    for word in range(words):
+        first = start + 64 * word
+        trials = range(first, min(first + 64, start + count))
+        rows[: len(trials)] = [
+            Philox(key=[seed, trial]).random_raw(chunks) for trial in trials
+        ]
+        rows[len(trials):] = 0
+        _transpose_words(rows)
+        # row j of chunk c now holds step 64 c + j + 1 of every lane
+        coins[1:, word] = rows.T.reshape(-1)[:horizon]
+    return coins
+
+
+def _simulate_block(
     horizon: int,
     seed: int,
     start: int,
@@ -256,29 +301,40 @@ def _run_trial_block(
     modulus: Optional[int],
     member_bits: Optional[int],
 ) -> Tuple[int, int]:
-    """(contained trials, total joined among contained) for one block."""
-    full = (1 << (horizon + 1)) - 1
-    contained = 0
-    joined_total = 0
-    for trial in range(start, start + count):
-        coins = _trial_coins(seed, trial, horizon)
-        joined = 0
-        sums = 0
-        ok = True
-        candidates = coins
-        while candidates:
-            low = candidates & -candidates
-            z = low.bit_length() - 1
-            if member_bits is not None and not member_bits >> (z % modulus) & 1:
-                ok = False
+    """(contained trials, total joined among contained) for one block.
+
+    The block's trials run in lockstep over z = 1..horizon, trial start + i
+    in bit i % 64 of word i // 64.  Row z of joined holds the trials that
+    join z and row z of sums those where z is already a sum of two joined
+    elements, so each step is a few operations on whole rows.  A trial
+    leaves M_S when a non-member is free for it; its alive bit clears, and
+    the block stops once no trial is left.
+    """
+    coins = _lane_coins(horizon, seed, start, count)
+    sums = np.zeros_like(coins)
+    joined = np.zeros_like(coins)
+    alive = np.full(coins.shape[1], np.iinfo(np.uint64).max, np.uint64)
+    # the padding lanes of the last word start dead
+    alive[-1] >>= -count % 64
+    free = np.empty_like(alive)
+    # min(z, horizon - z) rows at most
+    scratch = np.empty((horizon // 2, coins.shape[1]), np.uint64)
+    for z in range(1, horizon + 1):
+        np.bitwise_and(coins[z], alive, out=free)
+        free &= ~sums[z]
+        if member_bits is not None and not member_bits >> (z % modulus) & 1:
+            # free lies inside alive: the trials it holds leave
+            alive ^= free
+            if not alive.any():
                 break
-            joined |= low
-            sums |= (joined << z) & full
-            candidates = coins & ~sums & ~((low << 1) - 1)
-        if ok:
-            contained += 1
-            joined_total += joined.bit_count()
-    return contained, joined_total
+            continue
+        joined[z] = free
+        # z + j is a sum in every trial holding both j and z
+        span = min(z, horizon - z)
+        reach = sums[z + 1 : z + 1 + span]
+        reach |= np.bitwise_and(joined[1 : span + 1], free, out=scratch[:span])
+    joined &= alive
+    return int(np.bitwise_count(alive).sum()), int(np.bitwise_count(joined).sum())
 
 
 def simulate_random_sumfree(
@@ -288,7 +344,9 @@ def simulate_random_sumfree(
 
     A trial is contained when every joined element lies in M_S; trials
     leaving M_S stop early since no later join can repair containment.
-    Tallies are integers, so the report is identical for any worker count.
+    The trials run in blocks of whole 64-trial words fixed by the trial
+    count, each block in lockstep, 24 bytes per step and word.  Tallies
+    are integers, so the report is identical for any worker count.
     """
     require_workers(workers)
     modulus = member_bits = None
@@ -301,7 +359,7 @@ def simulate_random_sumfree(
     ]
     contained = 0
     joined_total = 0
-    for part_contained, part_joined in run_sharded(_run_trial_block, shards, workers):
+    for part_contained, part_joined in run_sharded(_simulate_block, shards, workers):
         contained += part_contained
         joined_total += part_joined
     return SimulationReport(config, contained, joined_total)

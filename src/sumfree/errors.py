@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages print counts."""
 
 from __future__ import annotations
 
@@ -39,3 +39,15 @@ class BudgetExceededError(SumfreeError):
         super().__init__(message)
         self.required = required
         self.limit = limit
+
+
+def count_text(count: int) -> str:
+    """count in decimal, or as a power of two when Python refuses that many
+    digits (4300 by default): budget refusals name counts of any size."""
+    try:
+        return str(count)
+    except ValueError:
+        exponent = count.bit_length() - 1
+        if count == 1 << exponent:
+            return f"2**{exponent}"
+        return f"more than 2**{exponent}"

@@ -17,7 +17,13 @@ from typing import List, Optional, Set, Tuple
 from ._bits import bit_positions, mirror, rotate
 from ._parallel import SHARD_BITS, require_workers, run_sharded
 from ._primes import is_prime
-from .errors import BudgetExceededError, ConstructionError, DomainError, ParameterError
+from .errors import (
+    BudgetExceededError,
+    ConstructionError,
+    DomainError,
+    ParameterError,
+    count_text,
+)
 from .special_sets import PredictedCount, _predicted_count, enumerate_special
 from .st_family import STParameters, _st_bits, build_st
 from .zn_core import CyclicSet, _sumset_bits, classify, dilate, interval, units
@@ -224,8 +230,8 @@ def exhaustive_scsf(
     limit = DEFAULT_SCSF_BUDGET if budget is None else budget
     if cost > limit:
         raise BudgetExceededError(
-            f"exhaustive search at n = {n} means {cost} symmetric candidates, "
-            f"budget is {limit}",
+            f"exhaustive search at n = {n} means {count_text(cost)} symmetric "
+            f"candidates, budget is {count_text(limit)}",
             required=cost,
             limit=limit,
         )
@@ -442,7 +448,8 @@ def verify_st_equivalence(
     limit = DEFAULT_EQUIV_BUDGET if budget is None else budget
     if total > limit:
         raise BudgetExceededError(
-            f"equivalence sweep needs {total} candidates, budget is {limit}",
+            f"equivalence sweep needs {count_text(total)} candidates, "
+            f"budget is {count_text(limit)}",
             required=total,
             limit=limit,
         )

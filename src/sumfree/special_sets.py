@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ._parallel import SHARD_BITS, require_workers, run_sharded
 from ._primes import is_prime
-from .errors import BudgetExceededError, DomainError, ParameterError
+from .errors import BudgetExceededError, DomainError, ParameterError, count_text
 from .st_family import TCandidate, _is_special_mask
 
 __all__ = [
@@ -133,7 +133,8 @@ def enumerate_special(
     limit = DEFAULT_ENUM_BUDGET if budget is None else budget
     if cost > limit:
         raise BudgetExceededError(
-            f"enumeration for t = {t} needs {cost} candidates, budget is {limit}",
+            f"enumeration for t = {t} needs {count_text(cost)} candidates, "
+            f"budget is {count_text(limit)}",
             required=cost,
             limit=limit,
         )

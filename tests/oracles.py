@@ -9,11 +9,15 @@ sumset claims of the interval-plus-progression construction;
 into dilation classes one member at a time, as the library did before
 its orbit sweep; ``equivalence_per_window`` builds S_T for each of the
 4^t windows and runs the group predicates on it, as the library did
-before its equivalence sweep compared two searches.
+before its equivalence sweep compared two searches; ``_run_trial_block``
+runs the random sum-free process one trial at a time on Python integers,
+as the library did before it ran 64 trials per machine word.
 """
 
 from itertools import product
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from numpy.random import Generator, Philox
 
 from sumfree._bits import bit_positions, mirror
 from sumfree.errors import ConstructionError
@@ -160,3 +164,47 @@ def equivalence_per_window(n: int, s: int) -> EquivalenceReport:
         special_count=special_count,
         counterexamples=tuple(sorted(counterexamples)),
     )
+
+
+def _trial_coins(seed: int, trial: int, horizon: int) -> int:
+    """Coin bits for one trial; bit z = the coin for step z, z in [1, N].
+
+    Streams are keyed by (seed, trial) with the block counter supplying the
+    step dimension, so any trial sharding yields identical coins.
+    """
+    gen = Generator(Philox(key=[seed, trial]))
+    raw = int.from_bytes(gen.bytes((horizon + 7) // 8), "little")
+    return (raw & ((1 << horizon) - 1)) << 1
+
+
+def _run_trial_block(
+    horizon: int,
+    seed: int,
+    start: int,
+    count: int,
+    modulus: Optional[int],
+    member_bits: Optional[int],
+) -> Tuple[int, int]:
+    """(contained trials, total joined among contained) for one block."""
+    full = (1 << (horizon + 1)) - 1
+    contained = 0
+    joined_total = 0
+    for trial in range(start, start + count):
+        coins = _trial_coins(seed, trial, horizon)
+        joined = 0
+        sums = 0
+        ok = True
+        candidates = coins
+        while candidates:
+            low = candidates & -candidates
+            z = low.bit_length() - 1
+            if member_bits is not None and not member_bits >> (z % modulus) & 1:
+                ok = False
+                break
+            joined |= low
+            sums |= (joined << z) & full
+            candidates = coins & ~sums & ~((low << 1) - 1)
+        if ok:
+            contained += 1
+            joined_total += joined.bit_count()
+    return contained, joined_total

@@ -1,8 +1,11 @@
 """Cayley graph, partition, and process-simulation tests.
 
 Graph goldens are small enough to check by hand; simulation values are
-pinned from seeded runs and double as determinism regressions.
+pinned from seeded runs and double as determinism regressions, and the
+bit-sliced process is checked against the one-trial-at-a-time oracle.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -20,6 +23,8 @@ from sumfree.interval_ap_family import IntervalAPParameters, build_small
 from sumfree.search_oracle import exhaustive_scsf
 from sumfree.st_family import STParameters, TCandidate, build_st
 from sumfree.zn_core import CyclicSet
+
+from oracles import _run_trial_block
 
 
 def mk(n, elements):
@@ -240,8 +245,9 @@ def test_simulation_conditioned_z5_golden():
 
 
 def test_simulation_deterministic_across_workers():
+    # two blocks of trials, so three workers start a pool
     config = ProcessConfig(
-        horizon=800, trials=600, seed=11, conditioning=mk(2, [1])
+        horizon=300, trials=9000, seed=11, conditioning=mk(2, [1])
     )
     one = simulate_random_sumfree(config)
     two = simulate_random_sumfree(config, workers=3)
@@ -276,3 +282,57 @@ def test_conditional_density_none_when_nothing_contained():
         assert report.conditional_density is None
     else:  # pragma: no cover - seed-dependent guard
         assert report.conditional_density > 0
+
+
+# --- bit-sliced process against the one-trial-at-a-time oracle ---
+
+
+# name: (horizon, trials, seed, conditioning as (n, residues) or None)
+ORACLE_RUNS = {
+    "unconditioned": (150, 300, 3, None),
+    "odd": (150, 300, 4, (2, [1])),
+    "z5": (150, 300, 5, (5, [2, 3])),
+    # 131 trials fill two words and 3 lanes of a third; the rest must not count
+    "padding-lanes": (90, 131, 6, None),
+    "padding-lanes-odd": (90, 131, 6, (2, [1])),
+    "horizon-1": (1, 200, 7, None),
+    "horizon-2": (2, 200, 8, None),
+    "horizon-2-odd": (2, 200, 8, (2, [1])),
+    # every trial joins some z < 48 and leaves, so the block stops early
+    "every-trial-leaves": (300, 300, 9, (97, [48, 49])),
+    # n > N: z itself is the residue
+    "modulus-above-horizon": (40, 300, 10, (64, range(1, 64, 2))),
+    # one full block and one trial in a second
+    "block-boundary": (12, 4097, 11, (2, [1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_simulation_matches_one_trial_oracle(name):
+    horizon, trials, seed, conditioning = ORACLE_RUNS[name]
+    modulus = member_bits = None
+    if conditioning is not None:
+        conditioning = mk(*conditioning)
+        modulus, member_bits = conditioning.modulus, conditioning.bits
+    report = simulate_random_sumfree(
+        ProcessConfig(horizon, trials, seed, conditioning)
+    )
+    expected = _run_trial_block(horizon, seed, 0, trials, modulus, member_bits)
+    assert (report.contained_trials, report.joined_total) == expected
+    if name == "every-trial-leaves":
+        assert expected == (0, 0)
+
+
+def test_one_block_allocates_little_beyond_its_three_arrays():
+    # 4096 trials at N = 5000 are one block; coins, sums and joined take
+    # 24 bytes per step and word, 7.3 MiB, and tracemalloc sees numpy buffers
+    config = ProcessConfig(
+        horizon=5000, trials=4096, seed=7, conditioning=mk(2, [1])
+    )
+    tracemalloc.start()
+    try:
+        simulate_random_sumfree(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20

@@ -407,6 +407,23 @@ def test_budget_flag_sets_limit(capsys):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["search", "exhaustive", "--n", "30000"], "2**15000"),
+        (["special", "enum", "--t", "8000"], "more than 2**15992"),
+        (["st", "equiv", "--n", "100001", "--s", "28572"], "2**14286"),
+    ],
+    ids=["search-exhaustive", "special-enum", "st-equiv"],
+)
+def test_budget_refusal_beyond_printable_digits(capsys, argv, count):
+    # each count has more than the 4300 decimal digits int -> str allows
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["error"]["type"] == "BudgetExceededError"
+    assert f" {count} " in payload["error"]["message"]
+
+
 def test_closed_stdout_is_quiet():
     # the reader takes 80 bytes of a ~2.4 MB payload and closes the pipe
     proc = subprocess.Popen(

@@ -50,13 +50,18 @@ def test_pool_size_is_capped_by_cpus_and_shards():
     assert _pool_size(0, 5) == 0
 
 
-@pytest.mark.parametrize("total", [1, 2, 63, 64, 65, 200, 4**12, 10**9 + 7])
+@pytest.mark.parametrize(
+    "total", [1, 2, 63, 64, 65, 200, 4097, 64 * 4096 + 1, 4**12, 10**9 + 7]
+)
 def test_shard_ranges_cut_the_input_into_at_most_64_blocks(total):
     blocks = shard_ranges(total)
     assert 1 <= len(blocks) <= 64
     assert blocks[0].start == 0 and blocks[-1].stop == total
     assert all(len(block) > 0 for block in blocks)
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    # whole 64-trial words, and full 4096-trial blocks before the last
+    assert all(block.start % 64 == 0 for block in blocks)
+    assert all(len(block) >= 4096 for block in blocks[:-1])
 
 
 # each sharded entry point, with the modules whose run_sharded it calls
@@ -71,7 +76,7 @@ SHARDED_CALLS = {
     "simulate_random_sumfree": (
         (applications,),
         lambda w: simulate_random_sumfree(
-            ProcessConfig(horizon=20, trials=200, seed=1), workers=w
+            ProcessConfig(horizon=20, trials=5000, seed=1), workers=w
         ),
     ),
 }
