@@ -15,7 +15,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from .errors import ParameterError
 
-# the DFS searches fix the choices on their first SHARD_BITS positions;
+# the catalog search fixes the choices on its first SHARD_BITS orbits;
 # the simulation cuts its trials into blocks of 64 << SHARD_BITS
 SHARD_BITS = 6
 

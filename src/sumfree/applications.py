@@ -273,7 +273,9 @@ def _lane_coins(horizon: int, seed: int, start: int, count: int) -> np.ndarray:
     z; row 0 and the padding lanes past count are zero.  A trial's coins are
     the first horizon bits of its own Philox stream keyed by (seed, trial),
     the bits of Generator(Philox(key=[seed, trial])).bytes in order, so any
-    sharding of the trials yields identical coins.  The 64 streams of one
+    sharding of the trials yields identical coins.  The key is built as a
+    uint64 array: a plain list turns a seed of 2**63 or more into a float64,
+    and nearby seeds would share a stream.  The 64 streams of one
     word are transposed together, so nothing larger than the result is built.
     """
     words = -(-count // 64)
@@ -284,7 +286,8 @@ def _lane_coins(horizon: int, seed: int, start: int, count: int) -> np.ndarray:
         first = start + 64 * word
         trials = range(first, min(first + 64, start + count))
         rows[: len(trials)] = [
-            Philox(key=[seed, trial]).random_raw(chunks) for trial in trials
+            Philox(key=np.array([seed, trial], np.uint64)).random_raw(chunks)
+            for trial in trials
         ]
         rows[len(trials):] = 0
         _transpose_words(rows)

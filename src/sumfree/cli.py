@@ -124,7 +124,7 @@ def _cmd_st_equiv(args: argparse.Namespace) -> CommandEnvelope:
 
 
 def _cmd_special_enum(args: argparse.Namespace) -> CommandEnvelope:
-    enum = enumerate_special(args.t, budget=args.budget, workers=args.threads)
+    enum = enumerate_special(args.t, budget=args.budget)
     payload: Dict[str, object] = {"t": enum.t, "g": enum.g}
     if not args.count_only:
         payload["sets"] = enum.as_lists()
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     special = top.add_parser("special", help="special offset windows")
     special_sub = special.add_subparsers(dest="subcommand", required=True)
-    p = _leaf(special_sub, "enum", _cmd_special_enum, budget=True, threads=True,
+    p = _leaf(special_sub, "enum", _cmd_special_enum, budget=True,
               help="enumerate all t-special sets")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--count-only", action="store_true")

@@ -347,7 +347,11 @@ def characterization_probe(
     budget: Optional[int] = None,
     workers: int = 1,
 ) -> ProbeReport:
-    """Catalog-versus-construction comparison for Z_p at size s."""
+    """Catalog-versus-construction comparison for Z_p at size s.
+
+    ``workers`` shards the catalog search; the t-special windows behind
+    the construction come from one search in this process.
+    """
     require_workers(workers)
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
@@ -364,7 +368,7 @@ def characterization_probe(
         params = STParameters(p, s)
         definition_valid = params.definition_valid
         theorem_valid = params.theorem_valid
-        specials = enumerate_special(t, budget=budget, workers=workers)
+        specials = enumerate_special(t, budget=budget)
         special_count = specials.g
         if definition_valid:
             for T in specials.sets:
@@ -434,7 +438,8 @@ def verify_st_equivalence(
     is complete and sum-free.  Each cuts a branch only when no superset
     can pass (2t - 1 in T + T + T; S_T meets S_T + S_T; |T| > t), so
     neither takes its verdict from the theorem under test.  The budget
-    counts the 4**t windows and is refused up front.
+    counts the 4**t windows and is refused up front.  ``workers`` shards
+    the catalog search; the window search runs in this process.
     """
     require_workers(workers)
     params = STParameters(n, s)
@@ -454,7 +459,7 @@ def verify_st_equivalence(
             limit=limit,
         )
     # C(2t, t) <= 4**t <= limit, so the enumeration never refuses
-    specials = enumerate_special(t, budget=limit, workers=workers)
+    specials = enumerate_special(t, budget=limit)
     special = {T.mask for T in specials.sets}
     central = interval(n, n - 2 * s + 1, 2 * s - 1).bits
     # the orbit of window position x is S_T for T = {x} without the interval

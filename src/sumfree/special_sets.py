@@ -6,13 +6,16 @@ is covered by T + T.  These are exactly the offset windows that make the
 central-interval construction symmetric, complete and sum-free in the
 proven parameter range.
 
-``enumerate_special`` finds them by a depth-first search over the positions
-0..2t-1 that carries T, T + T and T + T + T as bit masks.  The triple-sum
-condition holds for every subset of a set that satisfies it, so a branch is
-cut once 2t - 1 lies in T + T + T, and also once too few positions remain
-to reach size t.  Every size-t leaf gets the one t-special test,
-``st_family._is_special_mask``.  The budget is still the projected count
-C(2t, t) of size-t candidates, although the search visits far fewer nodes.
+``enumerate_special`` finds them by one depth-first search, in-process,
+over the positions 0..2t-1 that carries T, T + T and T + T + T as bit
+masks.  The triple-sum condition holds for every subset of a set that
+satisfies it, so a branch is cut once 2t - 1 lies in T + T + T.  Once the
+positions below x are decided, T + T is final below x, so a branch is also
+cut once some y < x is outside T + T while 2t - 1 - y is decided out, and
+once too few positions remain to reach size t.  Every size-t leaf gets the
+one t-special test, ``st_family._is_special_mask``.  The budget is still
+the projected count C(2t, t) of size-t candidates, although the search
+visits far fewer nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from ._parallel import SHARD_BITS, require_workers, run_sharded
+from ._bits import mirror
 from ._primes import is_prime
 from .errors import BudgetExceededError, DomainError, ParameterError, count_text
 from .st_family import TCandidate, _is_special_mask
@@ -85,6 +88,12 @@ def _special_dfs(
         return
     if 2 * t - x < t - size:
         return
+    # a sum below x has both members below x, so T + T is final there; a
+    # y < x outside T + T needs 2t - 1 - y in T, and if that position is
+    # already decided out, no completion covers y
+    low = (1 << x) - 1
+    if low & ~T2 & mirror(~T & low, 2 * t):
+        return
     _special_dfs(t, x + 1, size, T, T2, T3, out)
     T, T2, T3 = _with_member(x, T, T2, T3)
     # T + T + T only grows, so once it holds 2t - 1 no superset is special
@@ -92,41 +101,21 @@ def _special_dfs(
         _special_dfs(t, x + 1, size + 1, T, T2, T3, out)
 
 
-def _special_shard(t: int, prefix: int, choice: int) -> List[int]:
-    """Special masks whose positions below prefix are the bits of choice."""
-    T = T2 = T3 = 0
-    for x in range(prefix):
-        if choice >> x & 1:
-            T, T2, T3 = _with_member(x, T, T2, T3)
-    size = T.bit_count()
-    if size > t or T3 >> (2 * t - 1) & 1:
-        return []
-    out: List[int] = []
-    _special_dfs(t, prefix, size, T, T2, T3, out)
-    return out
-
-
-def enumerate_special(
-    t: int,
-    *,
-    budget: Optional[int] = None,
-    workers: int = 1,
-) -> SpecialEnumeration:
+def enumerate_special(t: int, *, budget: Optional[int] = None) -> SpecialEnumeration:
     """All t-special sets, by a pruned depth-first search over [0, 2t - 1].
 
     Each node decides whether one position x (0 first) joins T and carries
     T, T + T and T + T + T as bit masks.  A branch is cut as soon as
     2t - 1 lies in T + T + T (every superset then fails the triple-sum
-    condition too) or too few positions remain to reach size t.  Each
+    condition too), some y below x is neither in T + T nor mirrored by a
+    position that can still join T (the coverage condition then fails for
+    every completion), or too few positions remain to reach size t.  Each
     size-t leaf gets the full t-special test, so the search only skips
-    branches and never accepts a set by itself.  Shards fix the choices on
-    the lowest positions; one worker runs them in-process, and the sorted
-    union does not depend on the worker count.
+    branches and never accepts a set by itself.
 
     The budget is the projected C(2t, t) size-t candidates, refused up
     front when it exceeds the limit, although the search visits far fewer.
     """
-    require_workers(workers)
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     cost = comb(2 * t, t)
@@ -138,11 +127,8 @@ def enumerate_special(
             required=cost,
             limit=limit,
         )
-    prefix = min(SHARD_BITS, 2 * t)
-    shards = [(t, prefix, choice) for choice in range(1 << prefix)]
     masks: List[int] = []
-    for shard_masks in run_sharded(_special_shard, shards, workers):
-        masks.extend(shard_masks)
+    _special_dfs(t, 0, 0, 0, 0, 0, masks)
     return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in sorted(masks)))
 
 

@@ -2,7 +2,9 @@
 
 These functions check the library from the definitions, slowly and
 obviously; nothing in ``sumfree`` calls them.  ``brute_special``
-re-enumerates the t-special windows with plain set arithmetic;
+re-enumerates the t-special windows with plain set arithmetic, and
+``special_unpruned`` with the depth-first search the library ran before
+it cut branches on the coverage condition;
 ``gap_fill_check`` and ``bc_interval_check`` test the two closed-form
 sumset claims of the interval-plus-progression construction;
 ``canonical_dilation_class`` and ``classes_per_member`` split a catalog
@@ -17,13 +19,14 @@ as the library did before it ran 64 trials per machine word.
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 from numpy.random import Generator, Philox
 
 from sumfree._bits import bit_positions, mirror
 from sumfree.errors import ConstructionError
 from sumfree.interval_ap_family import IntervalAPParameters, _half_even, component_sets
 from sumfree.search_oracle import DilationClass, EquivalenceReport
-from sumfree.special_sets import SpecialEnumeration
+from sumfree.special_sets import SpecialEnumeration, _with_member
 from sumfree.st_family import STParameters, TCandidate, _is_special_mask, _st_bits
 from sumfree.zn_core import (
     CyclicSet,
@@ -69,6 +72,35 @@ def brute_special(t: int) -> SpecialEnumeration:
         if all(v in pair_sums for v in needed if v not in mirror):
             found.append(TCandidate(t, mask))
     return SpecialEnumeration(t, tuple(found))
+
+
+def _unpruned_dfs(
+    t: int, x: int, size: int, T: int, T2: int, T3: int, out: List[int]
+) -> None:
+    """Decide positions x..2t-1; append the t-special completions of T to out."""
+    if size == t:
+        if _is_special_mask(T, t):
+            out.append(T)
+        return
+    if 2 * t - x < t - size:
+        return
+    _unpruned_dfs(t, x + 1, size, T, T2, T3, out)
+    T, T2, T3 = _with_member(x, T, T2, T3)
+    # T + T + T only grows, so once it holds 2t - 1 no superset is special
+    if not T3 >> (2 * t - 1) & 1:
+        _unpruned_dfs(t, x + 1, size + 1, T, T2, T3, out)
+
+
+def special_unpruned(t: int) -> SpecialEnumeration:
+    """The special windows by a search that cuts only on T + T + T and size.
+
+    No coverage prune: every size-t set that passes the triple-sum
+    condition reaches the leaf test.  Its cost grows about 2.5x per step
+    of t, so keep t <= 16.
+    """
+    masks: List[int] = []
+    _unpruned_dfs(t, 0, 0, 0, 0, 0, masks)
+    return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in sorted(masks)))
 
 
 def gap_fill_check(params: IntervalAPParameters) -> bool:
@@ -172,7 +204,7 @@ def _trial_coins(seed: int, trial: int, horizon: int) -> int:
     Streams are keyed by (seed, trial) with the block counter supplying the
     step dimension, so any trial sharding yields identical coins.
     """
-    gen = Generator(Philox(key=[seed, trial]))
+    gen = Generator(Philox(key=np.array([seed, trial], np.uint64)))
     raw = int.from_bytes(gen.bytes((horizon + 7) // 8), "little")
     return (raw & ((1 << horizon) - 1)) << 1
 

@@ -6,6 +6,7 @@ bit-sliced process is checked against the one-trial-at-a-time oracle.
 """
 
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -263,6 +264,23 @@ def test_simulation_seed_changes_outcome():
     assert simulate_random_sumfree(base) != simulate_random_sumfree(other)
 
 
+def test_seeds_from_2_63_up_do_not_share_a_stream():
+    # a key passed as a plain list turned both seeds into the float64 2**63
+    first = simulate_random_sumfree(ProcessConfig(50, 20, 2**63))
+    second = simulate_random_sumfree(ProcessConfig(50, 20, 2**63 + 1))
+    assert (first.contained_trials, first.joined_total) != (
+        second.contained_trials,
+        second.joined_total,
+    )
+
+
+def test_largest_seed_runs_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = simulate_random_sumfree(ProcessConfig(50, 20, 2**64 - 1))
+    assert report.config.trials == 20
+
+
 def test_simulation_odd_conditioning_band():
     # short version of the headline run: density near 1/4, positive
     # containment probability
@@ -302,6 +320,8 @@ ORACLE_RUNS = {
     "every-trial-leaves": (300, 300, 9, (97, [48, 49])),
     # n > N: z itself is the residue
     "modulus-above-horizon": (40, 300, 10, (64, range(1, 64, 2))),
+    # the largest seed the configuration accepts
+    "top-seed": (90, 131, 2**64 - 1, (2, [1])),
     # one full block and one trial in a second
     "block-boundary": (12, 4097, 11, (2, [1])),
 }

@@ -332,7 +332,6 @@ def test_simulate_requires_seed(capsys):
 
 WORKER_COMMANDS = [
     ["st", "equiv", "--n", "61", "--s", "18"],
-    ["special", "enum", "--t", "3"],
     ["search", "exhaustive", "--n", "8"],
     ["search", "probe", "--p", "29", "--s", "8"],
     ["simulate", "cameron", "--horizon", "50", "--trials", "3", "--seed", "1"],
@@ -353,6 +352,7 @@ def test_threads_below_one_rejected(capsys, threads):
     [
         ["verify", "--n", "8", "--set", "3,4,5", "--threads", "1"],
         ["ladder", "--n", "1000", "--budget", "1"],
+        ["special", "enum", "--t", "3", "--threads", "2"],
         ["small", "build", "--t", "2", "--d", "3", "--k", "5", "--variant", "14",
          "--fast"],
     ],

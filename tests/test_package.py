@@ -11,7 +11,6 @@ import pkgutil
 import pytest
 
 import sumfree
-from sumfree import applications, search_oracle, special_sets
 from sumfree._parallel import _pool_size, shard_ranges
 from sumfree.applications import ProcessConfig, simulate_random_sumfree
 from sumfree.errors import ParameterError
@@ -20,7 +19,6 @@ from sumfree.search_oracle import (
     exhaustive_scsf,
     verify_st_equivalence,
 )
-from sumfree.special_sets import enumerate_special
 
 MODULES = [
     module
@@ -64,49 +62,42 @@ def test_shard_ranges_cut_the_input_into_at_most_64_blocks(total):
     assert all(len(block) >= 4096 for block in blocks[:-1])
 
 
-# each sharded entry point, with the modules whose run_sharded it calls
+# each sharded entry point; every one makes exactly one sharded search
 SHARDED_CALLS = {
-    "enumerate_special": ((special_sets,), lambda w: enumerate_special(8, workers=w)),
-    "exhaustive_scsf": ((search_oracle,), lambda w: exhaustive_scsf(30, workers=w)),
-    # t = 4: the special windows, then the S_T over the window orbits
-    "verify_st_equivalence": (
-        (search_oracle, special_sets),
-        lambda w: verify_st_equivalence(61, 18, workers=w),
-    ),
-    "simulate_random_sumfree": (
-        (applications,),
-        lambda w: simulate_random_sumfree(
-            ProcessConfig(horizon=20, trials=5000, seed=1), workers=w
-        ),
+    "exhaustive_scsf": lambda w: exhaustive_scsf(30, workers=w),
+    # t = 4: the special windows in-process, then the S_T over the window orbits
+    "verify_st_equivalence": lambda w: verify_st_equivalence(61, 18, workers=w),
+    # t = 2: the catalog, then the special windows in-process
+    "characterization_probe": lambda w: characterization_probe(29, 8, workers=w),
+    "simulate_random_sumfree": lambda w: simulate_random_sumfree(
+        ProcessConfig(horizon=20, trials=5000, seed=1), workers=w
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARDED_CALLS))
 def test_shards_depend_on_the_input_not_the_worker_count(monkeypatch, name):
-    # the recorder runs every shard in-process, so no worker process starts
-    modules, call = SHARDED_CALLS[name]
+    # the recorder runs every shard in-process, so no worker process starts;
+    # it replaces run_sharded in every module that imports it, so a second
+    # sharded search in one call, and so a second pool, is counted too
     recorded = []
 
     def recorder(fn, shards, workers):
         recorded.append(list(shards))
         return [fn(*args) for args in shards]
 
-    for module in modules:
-        monkeypatch.setattr(module, "run_sharded", recorder)
-    reports = [call(workers) for workers in (1, 2, 10**9)]
-    # one shard list per search, for each of the three calls
-    searches = len(modules)
-    assert len(recorded) == 3 * searches
-    per_call = [recorded[i:i + searches] for i in range(0, len(recorded), searches)]
-    assert per_call[0] == per_call[1] == per_call[2]
+    for module in MODULES:
+        if hasattr(module, "run_sharded"):
+            monkeypatch.setattr(module, "run_sharded", recorder)
+    reports = [SHARDED_CALLS[name](workers) for workers in (1, 2, 10**9)]
+    assert len(recorded) == 3
+    assert recorded[0] == recorded[1] == recorded[2]
     assert all(1 < len(shards) <= 64 for shards in recorded)
     assert reports[0] == reports[1] == reports[2]
 
 
 # one small valid call per public function that takes `workers`
 WORKER_CALLS = {
-    "enumerate_special": lambda w: enumerate_special(3, workers=w),
     "exhaustive_scsf": lambda w: exhaustive_scsf(16, workers=w),
     "characterization_probe": lambda w: characterization_probe(11, 3, workers=w),
     "verify_st_equivalence": lambda w: verify_st_equivalence(61, 18, workers=w),

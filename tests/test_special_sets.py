@@ -1,13 +1,16 @@
 """Special-set predicate, enumeration, family, and counting tests.
 
-The pruned, sharded search is compared against two oracles: the literal
-all-subsets brute force from tests/oracles.py, and the stream over every
-size-t mask that the search replaced (``stream_special_masks`` below).
+The pruned search is compared against three oracles: the literal
+all-subsets brute force and the search without the coverage prune, both
+from tests/oracles.py, and the stream over every size-t mask that the
+search replaced (``stream_special_masks`` below).
 """
+
+from math import comb
 
 import pytest
 
-from oracles import brute_special
+from oracles import brute_special, special_unpruned
 from sumfree.errors import BudgetExceededError, DomainError, ParameterError
 from sumfree.special_sets import (
     enumerate_special,
@@ -25,8 +28,12 @@ from sumfree.st_family import (
 )
 
 # t <= 8 computed once by the brute force below, t = 9..11 by the stream
-# over all size-t masks, and pinned
-G_TABLE = {1: 1, 2: 1, 3: 2, 4: 4, 5: 3, 6: 7, 7: 10, 8: 10, 9: 18, 10: 30, 11: 22}
+# over all size-t masks, t = 12..18 by the search with and without the
+# coverage prune (they agree), and pinned
+G_TABLE = {
+    1: 1, 2: 1, 3: 2, 4: 4, 5: 3, 6: 7, 7: 10, 8: 10, 9: 18, 10: 30, 11: 22,
+    12: 57, 13: 65, 14: 75, 15: 122, 16: 188, 17: 153, 18: 319,
+}
 
 
 def T(t, members):
@@ -95,7 +102,8 @@ def test_enumerate_t4():
 
 @pytest.mark.parametrize("t,expected", sorted(G_TABLE.items()))
 def test_g_table(t, expected):
-    enum = enumerate_special(t)
+    # the default budget admits t <= 14
+    enum = enumerate_special(t, budget=comb(2 * t, t))
     assert enum.g == expected
     assert all(is_t_special(cand) for cand in enum.sets)
     masks = [cand.mask for cand in enum.sets]
@@ -112,12 +120,9 @@ def test_enumerate_matches_mask_stream(t):
     assert [cand.mask for cand in enumerate_special(t).sets] == stream_special_masks(t)
 
 
-def test_enumerate_workers_agree():
-    # t = 1, 2: the window is narrower than the shard prefix
-    for t in range(1, 11):
-        one = enumerate_special(t)
-        for workers in (2, 3):
-            assert enumerate_special(t, workers=workers) == one
+@pytest.mark.parametrize("t", range(1, 17))
+def test_enumerate_matches_unpruned_search(t):
+    assert enumerate_special(t, budget=comb(2 * t, t)) == special_unpruned(t)
 
 
 def test_enumerate_budget_refusal():
@@ -167,7 +172,7 @@ def test_family_members_are_special_and_distinct(t):
     assert all(is_t_special(cand) for cand in family)
 
 
-@pytest.mark.parametrize("t", range(1, 9))
+@pytest.mark.parametrize("t", sorted(G_TABLE))
 def test_g_respects_doubling_lower_bound(t):
     assert G_TABLE[t] >= 1 << (t // 3)
 
