@@ -15,8 +15,9 @@ from typing import Callable, List, Sequence, Tuple
 
 from .errors import ParameterError
 
-# the catalog search fixes the choices on its first SHARD_BITS orbits;
-# the simulation cuts its trials into blocks of 64 << SHARD_BITS
+# the catalog search fixes the choices on its first SHARD_BITS orbits, one
+# fewer per doubling of the sub-searches that share its sharded call; the
+# simulation cuts its trials into blocks of 64 << SHARD_BITS
 SHARD_BITS = 6
 
 

@@ -266,34 +266,43 @@ def _transpose_words(rows: np.ndarray) -> None:
         low ^= swap << shift
 
 
-def _lane_coins(horizon: int, seed: int, start: int, count: int) -> np.ndarray:
-    """Coins of trials start .. start + count - 1, bit-sliced.
+# bytes of sums, and of joined, before a block first grows them: a block of
+# a few words runs a long horizon in one go, a full block starts at 2048 rows
+FIRST_BYTES = 1 << 20
 
-    Bit i of word w in row z is the coin of trial start + 64 w + i at step
-    z; row 0 and the padding lanes past count are zero.  A trial's coins are
-    the first horizon bits of its own Philox stream keyed by (seed, trial),
-    the bits of Generator(Philox(key=[seed, trial])).bytes in order, so any
-    sharding of the trials yields identical coins.  The key is built as a
-    uint64 array: a plain list turns a seed of 2**63 or more into a float64,
-    and nearby seeds would share a stream.  The 64 streams of one
-    word are transposed together, so nothing larger than the result is built.
+
+def _lane_coins(streams: List[Philox], steps: int) -> np.ndarray:
+    """The next steps coins of every stream, bit-sliced.
+
+    Bit i of word w in row j is the next coin but j of trial 64 w + i of the
+    block; the padding lanes past the last stream are zero.  A trial's coins
+    are the bits of its own Philox stream keyed by (seed, trial), the bits
+    of Generator(Philox(key=[seed, trial])).bytes in order, so any sharding
+    of the trials yields identical coins.  Each stream gives whole 64-bit
+    words, so steps is a multiple of 64 except on the last call, and every
+    call continues the streams where the one before stopped.  The 64
+    streams of one word are transposed together, so nothing larger than
+    the result is built.
     """
-    words = -(-count // 64)
-    chunks = -(-horizon // 64)
-    coins = np.zeros((horizon + 1, words), np.uint64)
+    words = -(-len(streams) // 64)
+    chunks = -(-steps // 64)
+    coins = np.empty((steps, words), np.uint64)
     rows = np.empty((64, chunks), np.uint64)
     for word in range(words):
-        first = start + 64 * word
-        trials = range(first, min(first + 64, start + count))
-        rows[: len(trials)] = [
-            Philox(key=np.array([seed, trial], np.uint64)).random_raw(chunks)
-            for trial in trials
-        ]
-        rows[len(trials):] = 0
+        lanes = streams[64 * word : 64 * word + 64]
+        rows[: len(lanes)] = [stream.random_raw(chunks) for stream in lanes]
+        rows[len(lanes):] = 0
         _transpose_words(rows)
-        # row j of chunk c now holds step 64 c + j + 1 of every lane
-        coins[1:, word] = rows.T.reshape(-1)[:horizon]
+        # row j of chunk c now holds coin 64 c + j of every lane
+        coins[:, word] = rows.T.reshape(-1)[:steps]
     return coins
+
+
+def _grown(rows: np.ndarray, size: int) -> np.ndarray:
+    """rows followed by zero rows, size rows in all."""
+    out = np.zeros((size, rows.shape[1]), np.uint64)
+    out[: len(rows)] = rows
+    return out
 
 
 def _simulate_block(
@@ -311,19 +320,45 @@ def _simulate_block(
     join z and row z of sums those where z is already a sum of two joined
     elements, so each step is a few operations on whole rows.  A trial
     leaves M_S when a non-member is free for it; its alive bit clears, and
-    the block stops once no trial is left.
+    the block stops once no trial is left.  Memory follows the steps run:
+    sums and joined start with FIRST_BYTES each and double whenever step z
+    would write past them (row 2z), and coins are drawn only for the steps
+    that fit in the rows held.
     """
-    coins = _lane_coins(horizon, seed, start, count)
-    sums = np.zeros_like(coins)
-    joined = np.zeros_like(coins)
-    alive = np.full(coins.shape[1], np.iinfo(np.uint64).max, np.uint64)
+    # a plain-list key would turn a seed of 2**63 or more into a float64,
+    # and nearby seeds would share a stream
+    streams = [
+        Philox(key=np.array([seed, trial], np.uint64))
+        for trial in range(start, start + count)
+    ]
+    words = -(-count // 64)
+    alive = np.full(words, np.iinfo(np.uint64).max, np.uint64)
     # the padding lanes of the last word start dead
     alive[-1] >>= -count % 64
     free = np.empty_like(alive)
-    # min(z, horizon - z) rows at most
-    scratch = np.empty((horizon // 2, coins.shape[1]), np.uint64)
+    # a multiple of 128, so that half of it is whole 64-bit coin words
+    first_rows = 128 * max(1, FIRST_BYTES // (8 * 128 * words))
+    # coins[z - coins_base] is step z's coin row, for z up to drawn; the
+    # rows of sums and joined reach 2 * drawn, or the horizon
+    drawn = 0
+    sums = joined = np.zeros((1, words), np.uint64)
     for z in range(1, horizon + 1):
-        np.bitwise_and(coins[z], alive, out=free)
+        if z > drawn:
+            # step z writes sums up to row min(2z, horizon): grow the rows,
+            # and draw the coins of the steps whose sums they hold
+            rows = min(horizon, max(4 * drawn, first_rows))
+            steps = (rows if rows == horizon else rows // 2) - drawn
+            # views of the old rows would keep them alive through the copy;
+            # the new coins wait until the old sums and joined are gone
+            coins = reach = scratch = None
+            sums = _grown(sums, rows + 1)
+            joined = _grown(joined, rows + 1)
+            coins = _lane_coins(streams, steps)
+            coins_base = z
+            drawn += steps
+            # min(z, horizon - z) rows at most
+            scratch = np.empty((rows // 2, words), np.uint64)
+        np.bitwise_and(coins[z - coins_base], alive, out=free)
         free &= ~sums[z]
         if member_bits is not None and not member_bits >> (z % modulus) & 1:
             # free lies inside alive: the trials it holds leave
@@ -348,8 +383,9 @@ def simulate_random_sumfree(
     A trial is contained when every joined element lies in M_S; trials
     leaving M_S stop early since no later join can repair containment.
     The trials run in blocks of whole 64-trial words fixed by the trial
-    count, each block in lockstep, 24 bytes per step and word.  Tallies
-    are integers, so the report is identical for any worker count.
+    count, each block in lockstep, with memory that grows with the steps
+    it runs, not with the horizon.  Tallies are integers, so the report is
+    identical for any worker count.
     """
     require_workers(workers)
     modulus = member_bits = None

@@ -6,15 +6,18 @@ against the dilation closure of the central-interval construction, and
 the S_T equivalence sweep, which compares the t-special windows with the
 windows whose S_T the catalog search accepts.  The searches are
 exhaustive, so the constructions are tested against them, never the
-other way round.
+other way round.  Both catalogs search the sets that hold 1, one or more
+per unit-dilation orbit, and expand them by the units; those orbits are
+the dilation classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import List, Optional, Set, Tuple
 
-from ._bits import bit_positions, mirror, rotate
+from ._bits import bit_positions, bits_from_positions, mirror, rotate
 from ._parallel import SHARD_BITS, require_workers, run_sharded
 from ._primes import is_prime
 from .errors import (
@@ -23,10 +26,11 @@ from .errors import (
     DomainError,
     ParameterError,
     count_text,
+    require_depth,
 )
 from .special_sets import PredictedCount, _predicted_count, enumerate_special
 from .st_family import STParameters, _st_bits, build_st
-from .zn_core import CyclicSet, _sumset_bits, classify, dilate, interval, units
+from .zn_core import CyclicSet, _sumset_bits, classify, interval, units
 
 __all__ = [
     "Catalog",
@@ -64,48 +68,48 @@ class DilationClass:
     orbit_size: int
 
 
-def _dilation_orbit(a: CyclicSet) -> Set[int]:
-    """Bit masks of {u * A : u a unit mod n}."""
-    return {dilate(a, u).bits for u in units(a.modulus)}
+def _dilation_orbit(bits: int, n: int) -> Set[int]:
+    """Bit masks of {u * A : u a unit mod n}, A given by its bit mask.
 
-
-def _group_into_classes(members: Tuple[CyclicSet, ...]) -> Tuple[DilationClass, ...]:
-    """Split a catalog closed under unit dilation into its orbits.
-
-    The first unclaimed member's orbit is built once and claimed whole, so
-    each class costs one sweep over the units.  Every catalog built here is
-    closed under dilation; an orbit member outside it is a search bug.
+    A's positions are listed once; each unit then packs its products.
     """
-    unclaimed = {member.bits for member in members}
+    positions = bit_positions(bits)
+    return {bits_from_positions(n, [u * x % n for x in positions]) for u in units(n)}
+
+
+def _expand_orbits(
+    n: int, leaves: List[int]
+) -> Tuple[Tuple[CyclicSet, ...], Tuple[DilationClass, ...]]:
+    """Every unit dilate of the leaves in bit order, and the classes they form.
+
+    A leaf already claimed by an earlier leaf's orbit adds nothing, so each
+    orbit is built once and becomes one class: its representative is the
+    member with the least mirrored mask, and classes are in increasing
+    order of the representative's mask.
+    """
+    claimed: Set[int] = set()
     classes = []
-    for member in members:
-        if member.bits not in unclaimed:
+    for leaf in leaves:
+        if leaf in claimed:
             continue
-        orbit = _dilation_orbit(member)
-        if not orbit <= unclaimed:
-            raise ConstructionError(
-                f"catalog is not closed under unit dilation: {member} has "
-                f"{len(orbit - unclaimed)} dilates outside it"
-            )
-        unclaimed -= orbit
-        n = member.modulus
+        orbit = _dilation_orbit(leaf, n)
+        claimed |= orbit
         rep = min(orbit, key=lambda bits: mirror(bits, n))
         classes.append(DilationClass(CyclicSet(n, rep), len(orbit)))
-    return tuple(sorted(classes, key=lambda c: c.representative.bits))
+    classes.sort(key=lambda c: c.representative.bits)
+    members = tuple(CyclicSet(n, bits) for bits in sorted(claimed))
+    return members, tuple(classes)
 
 
 @dataclass(frozen=True)
 class Catalog:
-    """Every symmetric complete sum-free subset of Z_n, in bit order."""
+    """Every symmetric complete sum-free subset of Z_n, in bit order,
+    and the unit-dilation classes they fall into."""
 
     n: int
     size_filter: Optional[int]
     members: Tuple[CyclicSet, ...]
-
-    @property
-    def classes(self) -> Tuple[DilationClass, ...]:
-        """The members split into unit-dilation orbits, on every read."""
-        return _group_into_classes(self.members)
+    classes: Tuple[DilationClass, ...]
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,7 @@ class MaxSumFreeCatalog:
     p: int
     max_size: int
     members: Tuple[CyclicSet, ...]
-
-    @property
-    def classes(self) -> Tuple[DilationClass, ...]:
-        """The members split into unit-dilation orbits, on every read."""
-        return _group_into_classes(self.members)
+    classes: Tuple[DilationClass, ...]
 
 
 def _pair_orbits(n: int) -> List[int]:
@@ -179,8 +179,9 @@ def _scsf_shard(
 ) -> List[int]:
     """Search start plus subsets of the orbits, the first fixed by the choice bitmap.
 
-    The catalog starts from the empty set over every negation orbit, the
-    S_T equivalence sweep from the central interval over the window orbits.
+    The catalog starts from {1, n - 1} over the other negation orbits and
+    from the empty set over the non-unit ones, the S_T equivalence sweep
+    from the central interval over the window orbits.
     """
     suffix = [0] * (len(orbits) + 1)
     for i in range(len(orbits) - 1, -1, -1):
@@ -200,12 +201,29 @@ def _scsf_shard(
 
 
 def _scsf_search(
-    n: int, orbits: List[int], start: int, size_filter: Optional[int], workers: int
+    n: int,
+    searches: List[Tuple[List[int], int]],
+    size_filter: Optional[int],
+    workers: int,
 ) -> List[int]:
-    """Every leaf of the orbit search, sharded on the first SHARD_BITS orbits."""
-    prefix = min(SHARD_BITS, len(orbits))
-    shards = [(n, orbits, start, prefix, c, size_filter) for c in range(1 << prefix)]
-    return [bits for part in run_sharded(_scsf_shard, shards, workers) for bits in part]
+    """The leaves of the (orbits, start) searches, from one sharded call.
+
+    Each search is cut on the choices on its first orbits, with one prefix
+    bit fewer per doubling of the searches, so the shards number at most
+    2**SHARD_BITS in all and one pool runs them.
+    """
+    require_depth(
+        max(len(orbits) for orbits, _ in searches) + 1, "the catalog search"
+    )
+    bits = SHARD_BITS - (len(searches) - 1).bit_length()
+    shards = []
+    for orbits, start in searches:
+        prefix = min(bits, len(orbits))
+        shards += [
+            (n, orbits, start, prefix, choice, size_filter)
+            for choice in range(1 << prefix)
+        ]
+    return [leaf for part in run_sharded(_scsf_shard, shards, workers) for leaf in part]
 
 
 def exhaustive_scsf(
@@ -217,11 +235,18 @@ def exhaustive_scsf(
 ) -> Catalog:
     """Enumerate all symmetric complete sum-free subsets of Z_n.
 
-    Candidates are subsets of the negation orbits (0 is never sum-free),
-    searched depth-first with the partial sumset carried along; sum-free
-    failures prune, completeness is checked at the leaves.  Each shard fixes
-    the choice on the first (up to) SHARD_BITS orbits; one worker runs the
-    shards in-process.
+    Candidates are unions of negation orbits {x, n - x} (0 is never
+    sum-free), searched depth-first with the partial sumset carried along;
+    sum-free failures prune, completeness is checked at the leaves.
+    Dilation by a unit u maps members to members, and a member holding a
+    unit u has the dilate u^-1 * S, which holds 1.  So for n >= 3 two
+    searches suffice: one from {1, n - 1} over the other orbits finds the
+    members holding 1, and each is expanded by its unit dilates; one from
+    the empty set over the orbits of non-units finds the members holding
+    no unit (none for prime n).  The expansion's orbits are the catalog's
+    dilation classes.  Both searches' shards, the choices on their first
+    SHARD_BITS - 1 orbits, go to one sharded call; one worker runs them
+    in-process.  Every member is verified with ``classify``.
     """
     require_workers(workers)
     if n < 1:
@@ -235,13 +260,20 @@ def exhaustive_scsf(
             required=cost,
             limit=limit,
         )
-    found = _scsf_search(n, _pair_orbits(n), 0, size_filter, workers)
-    members = tuple(CyclicSet(n, bits) for bits in sorted(found))
+    orbits = _pair_orbits(n)
+    if n <= 2:
+        searches = [(orbits, 0)]
+    else:
+        # orbits[0] is {1, n - 1}; an orbit's lowest bit is its smaller residue
+        non_units = [o for o in orbits if gcd((o & -o).bit_length() - 1, n) > 1]
+        searches = [(orbits[1:], orbits[0]), (non_units, 0)]
+    leaves = _scsf_search(n, searches, size_filter, workers)
+    members, classes = _expand_orbits(n, leaves)
     for member in members:
         props = classify(member)
         if not (props.symmetric and props.sum_free and props.complete):
             raise ConstructionError(f"search returned a non-member {member}: {props}")
-    return Catalog(n, size_filter, members)
+    return Catalog(n, size_filter, members, classes)
 
 
 def _max_sum_free_extend(
@@ -288,9 +320,13 @@ def exhaustive_max_sum_free(
 ) -> MaxSumFreeCatalog:
     """All maximum-size sum-free subsets of Z_p, p an odd prime.
 
-    Depth-first over elements in increasing order, carrying the mask of
-    elements that can still individually join; cardinality against the best
-    size found so far prunes.  The budget is the largest prime accepted.
+    Every nonempty subset of Z_p holds a unit u, and u^-1 * S holds 1, so
+    the search covers only the sets holding 1 and expands the maximum ones
+    by the units 1..p-1; the orbits are the catalog's dilation classes.
+    Depth-first over elements in increasing order from {1}, carrying the
+    mask of elements that can still individually join; cardinality against
+    the best size found so far prunes.  The budget is the largest prime
+    accepted.
     """
     limit = DEFAULT_MAX_PRIME if budget is None else budget
     if not is_prime(p) or p == 2:
@@ -301,15 +337,20 @@ def exhaustive_max_sum_free(
             required=p,
             limit=limit,
         )
+    # one call per member; by Cauchy-Davenport |S + S| >= 2|S| - 1, and
+    # S + S misses S, so a sum-free set has at most (p + 1) / 3 members
+    require_depth((p + 1) // 3 + 1, "the maximum-sum-free search")
     inv2 = pow(2, -1, p)
     best = [0]
     leaves: List[Tuple[int, int]] = []
-    _max_sum_free_extend(p, inv2, 0, 0, 0, ((1 << p) - 1) & ~1, best, leaves)
+    # {1} rules out 1 + 1 = 2 and 1 / 2 = inv2 as further members
+    allowed = ((1 << p) - 1) & ~0b111 & ~(1 << inv2)
+    _max_sum_free_extend(p, inv2, 0b10, 1 << (p - 1), 1, allowed, best, leaves)
     max_size = best[0]
-    members = tuple(
-        CyclicSet(p, bits) for size, bits in sorted(leaves) if size == max_size
+    members, classes = _expand_orbits(
+        p, [bits for size, bits in leaves if size == max_size]
     )
-    return MaxSumFreeCatalog(p, max_size, members)
+    return MaxSumFreeCatalog(p, max_size, members, classes)
 
 
 @dataclass(frozen=True)
@@ -372,7 +413,7 @@ def characterization_probe(
         special_count = specials.g
         if definition_valid:
             for T in specials.sets:
-                construction_bits |= _dilation_orbit(build_st(params, T))
+                construction_bits |= _dilation_orbit(build_st(params, T).bits, p)
         # the size class whose window is this t reuses the enumeration above
         if p % 3 == 1 and t % 3 == 1 and t >= 4:
             predicted = _predicted_count(p, (t - 1) // 3, specials)
@@ -467,7 +508,7 @@ def verify_st_equivalence(
     # s + T sits in bits s .. s + 2t - 1 of S_T
     valid = {
         bits >> s & (total - 1)
-        for bits in _scsf_search(n, orbits, central, s, workers)
+        for bits in _scsf_search(n, [(orbits, central)], s, workers)
     }
     counterexamples = sorted(tuple(bit_positions(mask)) for mask in special ^ valid)
     return EquivalenceReport(

@@ -26,7 +26,13 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ._bits import mirror
 from ._primes import is_prime
-from .errors import BudgetExceededError, DomainError, ParameterError, count_text
+from .errors import (
+    BudgetExceededError,
+    DomainError,
+    ParameterError,
+    count_text,
+    require_depth,
+)
 from .st_family import TCandidate, _is_special_mask
 
 __all__ = [
@@ -127,6 +133,8 @@ def enumerate_special(t: int, *, budget: Optional[int] = None) -> SpecialEnumera
             required=cost,
             limit=limit,
         )
+    # one call per decided position, and one for the leaf
+    require_depth(2 * t + 1, "the t-special window search")
     masks: List[int] = []
     _special_dfs(t, 0, 0, 0, 0, 0, masks)
     return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in sorted(masks)))

@@ -9,9 +9,12 @@ it cut branches on the coverage condition;
 sumset claims of the interval-plus-progression construction;
 ``canonical_dilation_class`` and ``classes_per_member`` split a catalog
 into dilation classes one member at a time, as the library did before
-its orbit sweep; ``equivalence_per_window`` builds S_T for each of the
-4^t windows and runs the group predicates on it, as the library did
-before its equivalence sweep compared two searches; ``_run_trial_block``
+its orbit sweep; ``catalog_all_orbits`` and ``max_sum_free_from_empty``
+search every set, not one representative per dilation orbit, as the
+library did before it expanded the orbits of the sets holding 1;
+``equivalence_per_window`` builds S_T for each of the 4^t windows and
+runs the group predicates on it, as the library did before its
+equivalence sweep compared two searches; ``_run_trial_block``
 runs the random sum-free process one trial at a time on Python integers,
 as the library did before it ran 64 trials per machine word.
 """
@@ -25,7 +28,15 @@ from numpy.random import Generator, Philox
 from sumfree._bits import bit_positions, mirror
 from sumfree.errors import ConstructionError
 from sumfree.interval_ap_family import IntervalAPParameters, _half_even, component_sets
-from sumfree.search_oracle import DilationClass, EquivalenceReport
+from sumfree.search_oracle import (
+    Catalog,
+    DilationClass,
+    EquivalenceReport,
+    MaxSumFreeCatalog,
+    _max_sum_free_extend,
+    _pair_orbits,
+    _scsf_search,
+)
 from sumfree.special_sets import SpecialEnumeration, _with_member
 from sumfree.st_family import STParameters, TCandidate, _is_special_mask, _st_bits
 from sumfree.zn_core import (
@@ -162,6 +173,33 @@ def classes_per_member(members: Tuple[CyclicSet, ...]) -> Tuple[DilationClass, .
         DilationClass(reps[bits], len(bucket))
         for bits, bucket in sorted(buckets.items())
     )
+
+
+def catalog_all_orbits(n: int, size_filter: Optional[int] = None) -> Catalog:
+    """The catalog by one search from the empty set over every negation orbit.
+
+    No budget: at n = 56 it takes about 0.3 s.  Classes come from
+    ``classes_per_member``.
+    """
+    leaves = _scsf_search(n, [(_pair_orbits(n), 0)], size_filter, 1)
+    members = tuple(CyclicSet(n, bits) for bits in sorted(leaves))
+    return Catalog(n, size_filter, members, classes_per_member(members))
+
+
+def max_sum_free_from_empty(p: int) -> MaxSumFreeCatalog:
+    """The maximum sum-free sets of Z_p by a search from the empty set.
+
+    Every sum-free set is a branch, not only those holding 1.  Classes
+    come from ``classes_per_member``.
+    """
+    best = [0]
+    leaves: List[Tuple[int, int]] = []
+    everything_but_0 = ((1 << p) - 1) & ~1
+    _max_sum_free_extend(p, pow(2, -1, p), 0, 0, 0, everything_but_0, best, leaves)
+    members = tuple(
+        CyclicSet(p, bits) for size, bits in sorted(leaves) if size == best[0]
+    )
+    return MaxSumFreeCatalog(p, best[0], members, classes_per_member(members))
 
 
 def equivalence_per_window(n: int, s: int) -> EquivalenceReport:

@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+from sumfree import applications
 from sumfree.applications import (
     CayleyGraph,
     GraphProperties,
@@ -343,6 +344,25 @@ def test_simulation_matches_one_trial_oracle(name):
         assert expected == (0, 0)
 
 
+@pytest.mark.parametrize("name", ["unconditioned", "odd", "z5", "padding-lanes"])
+def test_growing_block_matches_one_trial_oracle(monkeypatch, name):
+    # the first rows shrink to 128, so at horizon 1500 a block's rows go
+    # 128, 256, 512, 1024, 1500, with a coin draw at each, the first of
+    # one 64-bit word per trial
+    horizon, trials, seed, conditioning = ORACLE_RUNS[name]
+    horizon *= 10
+    modulus = member_bits = None
+    if conditioning is not None:
+        conditioning = mk(*conditioning)
+        modulus, member_bits = conditioning.modulus, conditioning.bits
+    monkeypatch.setattr(applications, "FIRST_BYTES", 1)
+    report = simulate_random_sumfree(
+        ProcessConfig(horizon, trials, seed, conditioning)
+    )
+    expected = _run_trial_block(horizon, seed, 0, trials, modulus, member_bits)
+    assert (report.contained_trials, report.joined_total) == expected
+
+
 def test_one_block_allocates_little_beyond_its_three_arrays():
     # 4096 trials at N = 5000 are one block; coins, sums and joined take
     # 24 bytes per step and word, 7.3 MiB, and tracemalloc sees numpy buffers
@@ -356,3 +376,20 @@ def test_one_block_allocates_little_beyond_its_three_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 16 << 20
+
+
+def test_block_memory_follows_the_steps_run():
+    # every trial joins some z < 48 and leaves within the first steps, so
+    # the block holds its first rows only, not 24 bytes per step and word
+    # for all 50000 steps (88.6 MiB)
+    config = ProcessConfig(
+        horizon=50000, trials=4096, seed=1, conditioning=mk(97, [48, 49])
+    )
+    tracemalloc.start()
+    try:
+        report = simulate_random_sumfree(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.contained_trials == 0
+    assert peak <= 8 << 20

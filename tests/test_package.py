@@ -179,8 +179,10 @@ LAYERS = [
 
 # library entry points a user calls directly; the package itself reaches
 # the same predicates through classify and st_family._is_special_mask,
-# and the family through lower_bound_family
+# the family through lower_bound_family, and dilation through the orbit
+# helper of search_oracle
 ENTRY_POINTS = {
+    "dilate",
     "is_symmetric",
     "is_sum_free",
     "is_complete",

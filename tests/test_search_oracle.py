@@ -2,26 +2,35 @@
 
 The exhaustive searchers are themselves checked against an even dumber
 oracle: literal iteration over all 2^n subsets with the zn_core predicates.
-The orbit sweep that splits a catalog into dilation classes is checked
-against the per-member canonical form it replaced, and the S_T
-equivalence sweep against the per-window loop it replaced.
+The searches over one representative per dilation orbit are checked
+against the searches over every set they replaced, their dilation classes
+against the per-member canonical form, and the S_T equivalence sweep
+against the per-window loop it replaced.
 """
+
+import sys
 
 import pytest
 
 from oracles import (
     brute_special,
+    catalog_all_orbits,
     classes_per_member,
     equivalence_per_window,
+    max_sum_free_from_empty,
     theorem_valid_pairs,
 )
-from sumfree import search_oracle
+from sumfree import errors, search_oracle
 from sumfree._primes import is_prime
-from sumfree.errors import BudgetExceededError, ConstructionError, DomainError
+from sumfree.errors import (
+    STACK_HEADROOM,
+    BudgetExceededError,
+    DepthLimitError,
+    DomainError,
+)
 from sumfree.search_oracle import (
-    Catalog,
-    _group_into_classes,
     _pair_orbits,
+    _scsf_search,
     _scsf_shard,
     characterization_probe,
     exhaustive_max_sum_free,
@@ -115,26 +124,45 @@ def test_catalog_without_members_has_no_classes():
     assert exhaustive_scsf(3).classes == ()
 
 
-def test_classes_refuse_a_catalog_not_closed_under_dilation():
-    # 3 * {3, 4, 5} = {1, 4, 7} in Z_8 is missing
-    members = (CyclicSet.from_elements(8, [3, 4, 5]),)
-    with pytest.raises(ConstructionError, match="not closed under unit dilation"):
-        _group_into_classes(members)
-    # the check runs whenever classes are read, not when the catalog is built
-    catalog = Catalog(8, None, members)
-    with pytest.raises(ConstructionError, match="not closed under unit dilation"):
-        catalog.classes
+def test_each_dilation_orbit_is_built_once(monkeypatch):
+    # classes come from the orbits that expand the searched representatives,
+    # with no second sweep over the units when they are read
+    honest = search_oracle._dilation_orbit
+    built = []
+
+    def counting(bits, n):
+        built.append(bits)
+        return honest(bits, n)
+
+    monkeypatch.setattr(search_oracle, "_dilation_orbit", counting)
+    catalog = exhaustive_scsf(40)
+    assert len(built) == len(catalog.classes) > 1
+    built.clear()
+    catalog = exhaustive_max_sum_free(43)
+    assert len(built) == len(catalog.classes) > 1
 
 
-def test_catalogs_split_into_classes_only_when_read(monkeypatch):
-    # the probe and `search exhaustive` without --classes read members only
-    def refuse(members):
-        raise AssertionError("classes computed but never read")
+@pytest.mark.parametrize("n", range(1, 57))
+def test_catalog_matches_search_over_all_orbits(monkeypatch, n):
+    expected = catalog_all_orbits(n)
+    searches = []
 
-    monkeypatch.setattr(search_oracle, "_group_into_classes", refuse)
-    assert len(exhaustive_scsf(40).members) > 0
-    assert characterization_probe(29, 8).catalog_count > 0
-    assert len(exhaustive_max_sum_free(11).members) == 5
+    def recorder(fn, shards, workers):
+        searches.append(len(shards))
+        return [fn(*args) for args in shards]
+
+    monkeypatch.setattr(search_oracle, "run_sharded", recorder)
+    assert exhaustive_scsf(n, budget=1 << 28) == expected
+    # both sub-searches share one sharded call
+    assert len(searches) == 1 and searches[0] <= 64
+    sizes = sorted({m.size for m in expected.members})
+    # every size up to n = 40, then the extremes; 1 never occurs for n > 2
+    for s in (sizes if n <= 40 else sizes[:1] + sizes[-1:]) + [1]:
+        members = tuple(m for m in expected.members if m.size == s)
+        # dilation keeps the size, so a class lies within one size
+        classes = tuple(c for c in expected.classes if c.representative.size == s)
+        filtered = exhaustive_scsf(n, size_filter=s, budget=1 << 28)
+        assert filtered == search_oracle.Catalog(n, s, members, classes)
 
 
 def test_catalog_size_filter_consistent():
@@ -258,6 +286,12 @@ def test_max_sum_free_classes_match_per_member_oracle(p):
     assert catalog.classes == classes_per_member(catalog.members)
 
 
+@pytest.mark.parametrize("p", [p for p in range(3, 48) if is_prime(p)])
+def test_max_sum_free_matches_search_from_empty(p):
+    # p = 47 is past the default budget
+    assert exhaustive_max_sum_free(p, budget=47) == max_sum_free_from_empty(p)
+
+
 def test_max_sum_free_rejects_bad_p():
     with pytest.raises(DomainError):
         exhaustive_max_sum_free(9)
@@ -265,6 +299,42 @@ def test_max_sum_free_rejects_bad_p():
         exhaustive_max_sum_free(2)
     with pytest.raises(BudgetExceededError):
         exhaustive_max_sum_free(47)
+
+
+# --- recursion depth ---
+
+
+def _depth_limit():
+    return sys.getrecursionlimit() - STACK_HEADROOM
+
+
+def test_deepest_admitted_catalog_search_runs():
+    # with size filter 0 the search skips every orbit, one frame per orbit,
+    # so it reaches its full depth at once and finds nothing
+    n = 2 * (_depth_limit() - 1)
+    assert len(_pair_orbits(n)) + 1 == _depth_limit()
+    assert _scsf_search(n, [(_pair_orbits(n), 0)], 0, 1) == []
+    with pytest.raises(DepthLimitError) as exc:
+        _scsf_search(n + 2, [(_pair_orbits(n + 2), 0)], 0, 1)
+    assert (exc.value.depth, exc.value.limit) == (_depth_limit() + 1, _depth_limit())
+
+
+def test_searches_refuse_depths_past_the_limit(monkeypatch):
+    # keep back all but 10 frames, so that each refused call below would
+    # run in milliseconds if the check were missing; the budgets admit them
+    monkeypatch.setattr(errors, "STACK_HEADROOM", sys.getrecursionlimit() - 10)
+    # one frame per window position and one for the leaf
+    with pytest.raises(DepthLimitError, match="recurses 11 levels deep"):
+        enumerate_special(5)
+    enumerate_special(4)
+    # {1, n - 1} starts the deeper sub-search, over the other n/2 - 1 orbits
+    with pytest.raises(DepthLimitError, match="recurses 11 levels deep"):
+        exhaustive_scsf(22)
+    exhaustive_scsf(20)
+    # a sum-free set in Z_p has at most (p + 1) / 3 members
+    with pytest.raises(DepthLimitError, match="recurses 11 levels deep"):
+        exhaustive_max_sum_free(29)
+    exhaustive_max_sum_free(23)
 
 
 # --- characterization probes ---
