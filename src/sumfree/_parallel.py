@@ -4,14 +4,17 @@ Every sharded entry point cuts its input into at most 2**SHARD_BITS
 shards that depend on the input alone; the worker count only picks how
 many processes run them.  Shards are dispatched in order and results are
 collected in submission order, so parallel runs merge to exactly the
-sequential answer.
+sequential answer.  The process keeps one pool: it starts on first use,
+serves every later call of the same size, and stops at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Sequence, Tuple
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import ParameterError
 
@@ -48,10 +51,59 @@ def _pool_size(workers: int, shard_count: int) -> int:
     return min(workers, shard_count, cpus)
 
 
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_workers = 0
+
+
+def _shared_pool(size: int) -> ProcessPoolExecutor:
+    """The process's pool of exactly size workers, started on first use.
+
+    A pool of another size is shut down before its replacement starts, so
+    no more processes run than the latest call's _pool_size allows.
+    """
+    global _pool, _pool_workers
+    if _pool is None or _pool_workers != size:
+        shutdown_pool()
+        _pool = ProcessPoolExecutor(max_workers=size)
+        _pool_workers = size
+    return _pool
+
+
+def shutdown_pool() -> None:
+    """Stop the shared pool, if one runs; the next sharded call starts another."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown()
+
+
+atexit.register(shutdown_pool)
+
+
 def run_sharded(fn: Callable, shards: Sequence[Tuple], workers: int) -> List:
+    """fn(*args) for every shard, in order, on at most _pool_size processes.
+
+    One process runs the shards in the caller; more share the process's
+    pool.
+    """
     size = _pool_size(workers, len(shards))
     if size <= 1:
         return [fn(*args) for args in shards]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        futures = [pool.submit(fn, *args) for args in shards]
+    try:
+        return _run_on_pool(fn, shards, size)
+    except BrokenProcessPool:
+        # the pool lost a worker; shards are pure functions of their
+        # arguments, so they run once more on a new pool
+        shutdown_pool()
+        return _run_on_pool(fn, shards, size)
+
+
+def _run_on_pool(fn: Callable, shards: Sequence[Tuple], size: int) -> List:
+    futures = []
+    try:
+        futures = [_shared_pool(size).submit(fn, *args) for args in shards]
         return [f.result() for f in futures]
+    finally:
+        # a shard that raised leaves the others queued on the shared pool
+        for f in futures:
+            f.cancel()

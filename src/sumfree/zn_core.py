@@ -2,13 +2,16 @@
 
 A set is an immutable bit-vector: bit ``i`` of ``bits`` is set iff ``i`` is
 a member.  All arithmetic is exact integer arithmetic.  Sumsets walk the
-maximal runs of consecutive members of the smaller operand: one edge mask
-finds the runs, each run spreads the other operand by doubling shift-ORs,
-and one wrapped rotation folds it back into n bits.  The sets built here
-are a handful of intervals and progressions, so this costs O(runs * log
-run) big-integer shifts, not O(|A|); the result is the per-member shifted
-OR bit for bit, and the tests check it against that loop and against the
-naive double loop.
+maximal runs of consecutive members of the smaller operand and merge
+consecutive runs of one length, one gap apart, into progressions of runs:
+each progression spreads the other operand by doubling shift-ORs, first
+over a run and then over the run starts, and one fold at the end wraps
+the union back into n bits.  The constructed sets (A u -A) u (B u -B) u C
+make at most five progressions whatever their size, so S + S costs
+O(log |S|) big-integer shifts on them (listing the runs stays linear in
+their number), and O(runs) shifts on an unstructured set.  The result is
+the per-member shifted OR bit for bit, and the tests check it against
+that loop, against the per-run loop and against the naive double loop.
 
 Everything here is a pure function of its arguments, so values can be shared
 freely between threads or processes.
@@ -114,37 +117,61 @@ def _require_same_modulus(a: CyclicSet, b: CyclicSet) -> None:
 
 
 def _sumset_bits(a_bits: int, b_bits: int, n: int) -> int:
-    """Bit-vector of {x + y : x in A, y in B} mod n, one pass per run of A.
+    """Bit-vector of {x + y : x in A, y in B} mod n, by progressions of runs of A.
 
     A (the operand with fewer members) is split into maximal runs
     [start, stop) of consecutive residues.  The edge mask A ^ (A << 1) has
     a bit at each run's first member and at the slot after its last, so
-    its positions, taken in pairs, are the runs in order.  For each run,
-    B + {0, ..., L-1} is built as a plain integer by doubling (B | B << 1,
-    then that | itself << 2, ...), ceil(log2 L) shift-ORs, and then
-    rotated by start.  The rotation's right shift is the single fold back
-    into n bits: start + L <= n keeps every bit of the spread below 2n,
-    so each bit p lands on (p + start) mod n.  A run of length 1 does no
-    doubling and costs one rotation, like a single member.  The union over
-    runs is the union over members x of B + x, so the result equals the
-    per-member shifted OR bit for bit.
+    its positions, taken in pairs, are the runs in order.  A run joins the
+    open progression when it has the progression's length L and, from the
+    third run on, lies the progression's gap D after the previous one;
+    otherwise it opens a new progression.  A progression of m runs is the
+    set first + {0, ..., L-1} + {0, D, ..., (m-1)D}: B + {0, ..., L-1} is
+    built as a plain integer by doubling (B | B << 1, then that | itself
+    << 2, ...), ceil(log2 L) shift-ORs, the same doubling with shifts of
+    width * D spreads it over the run starts, and a left shift by first
+    places it.  A lone run is the case m = 1 and skips the second doubling.
+    Every progression lies inside [0, n), so every placed bit stays below
+    2n and the single fold acc | acc >> n at the end takes each bit p to
+    p mod n.  The union over progressions is the union over members x of
+    B + x, so the result equals the per-member shifted OR bit for bit.
     """
     if a_bits == 0 or b_bits == 0:
         return 0
     if a_bits.bit_count() > b_bits.bit_count():
         a_bits, b_bits = b_bits, a_bits
+    edges = bit_positions(a_bits ^ (a_bits << 1))
+    # an empty run extends no progression, so it closes the last one
+    edges += (n, n)
+    runs = iter(edges)
+    first = last = next(runs)
+    length = next(runs) - first
+    gap = count = 1
     acc = 0
-    edges = iter(bit_positions(a_bits ^ (a_bits << 1)))
-    for start, stop in zip(edges, edges):
-        length = stop - start
+    for start, stop in zip(runs, runs):
+        size = stop - start
+        if size == length and (count == 1 or start - last == gap):
+            gap = start - last
+            last = start
+            count += 1
+            continue
         spread = b_bits
         width = 1
         while width < length:
-            step = width if 2 * width <= length else length - width
-            spread |= spread << step
-            width += step
-        acc |= (spread << start) | (spread >> (n - start))
-    return acc & ((1 << n) - 1)
+            shift = width if 2 * width <= length else length - width
+            spread |= spread << shift
+            width += shift
+        if count > 1:
+            width = 1
+            while width < count:
+                shift = width if 2 * width <= count else count - width
+                spread |= spread << shift * gap
+                width += shift
+        acc |= spread << first
+        first = last = start
+        length = size
+        count = 1
+    return (acc | acc >> n) & ((1 << n) - 1)
 
 
 def _negate_bits(bits: int, n: int) -> int:

@@ -1,7 +1,9 @@
 """Reference code the test files share.
 
 These functions check the library from the definitions, slowly and
-obviously; nothing in ``sumfree`` calls them.  ``brute_special``
+obviously; nothing in ``sumfree`` calls them.  ``sumset_per_run``
+computes A + B with one wrapped rotation per maximal run of A, as the
+library did before it folded whole progressions of runs.  ``brute_special``
 re-enumerates the t-special windows with plain set arithmetic, and
 ``special_unpruned`` with the depth-first search the library ran before
 it cut branches on the coverage condition;
@@ -59,6 +61,33 @@ def theorem_valid_pairs(max_n=200, max_t=6):
             out.append((3 * s + 2 * t - 1, s))
             s += 1
     return out
+
+
+def sumset_per_run(a_bits: int, b_bits: int, n: int) -> int:
+    """Bit-vector of A + B mod n, one doubling spread and rotation per run of A.
+
+    A (the operand with fewer members) is split into maximal runs
+    [start, stop) by the positions of the edge mask A ^ (A << 1), taken in
+    pairs.  Each run spreads B over {0, ..., L-1} by doubling shift-ORs and
+    rotates the spread by its start; start + L <= n keeps every bit below
+    2n, so the rotation's right shift folds it back into n bits.
+    """
+    if a_bits == 0 or b_bits == 0:
+        return 0
+    if a_bits.bit_count() > b_bits.bit_count():
+        a_bits, b_bits = b_bits, a_bits
+    acc = 0
+    edges = iter(bit_positions(a_bits ^ (a_bits << 1)))
+    for start, stop in zip(edges, edges):
+        length = stop - start
+        spread = b_bits
+        width = 1
+        while width < length:
+            step = width if 2 * width <= length else length - width
+            spread |= spread << step
+            width += step
+        acc |= (spread << start) | (spread >> (n - start))
+    return acc & ((1 << n) - 1)
 
 
 def brute_special(t: int) -> SpecialEnumeration:

@@ -1,17 +1,22 @@
 """Package-wide checks: exported names and their callers, worker counts,
-pool sizing, no asserts, no imports inside functions."""
+pool sizing and the one shared pool, no asserts, no imports inside functions."""
 
 import ast
 import importlib
 import inspect
+import multiprocessing
 import os
 import pathlib
 import pkgutil
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import sumfree
-from sumfree._parallel import _pool_size, shard_ranges
+from sumfree import _parallel
+from sumfree._parallel import _pool_size, run_sharded, shard_ranges
 from sumfree.applications import ProcessConfig, simulate_random_sumfree
 from sumfree.errors import ParameterError
 from sumfree.search_oracle import (
@@ -46,6 +51,58 @@ def test_pool_size_is_capped_by_cpus_and_shards():
     assert _pool_size(10**9, 3) == min(3, cpus)
     assert _pool_size(1, 10**9) == 1
     assert _pool_size(0, 5) == 0
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The pools started during a test, which begins and ends with none running."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            started.append(max_workers)
+
+    _parallel.shutdown_pool()
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountingPool)
+    yield started
+    _parallel.shutdown_pool()
+
+
+def test_sharded_calls_share_one_pool(pool_starts):
+    first = exhaustive_scsf(30, workers=3)
+    second = exhaustive_scsf(30, workers=3)
+    assert first == second == exhaustive_scsf(30)
+    # no pool at all on a single CPU
+    size = _pool_size(3, 64)
+    assert pool_starts == ([size] if size > 1 else [])
+
+
+def test_pool_is_replaced_when_its_size_changes(monkeypatch, pool_starts):
+    # sizes past the CPU count, so that 2 and 3 differ on any machine
+    monkeypatch.setattr(_parallel, "_pool_size", lambda workers, shards: workers)
+    shards = [(2, k) for k in range(8)]
+    expected = [pow(*args) for args in shards]
+    for workers in (2, 2, 3, 3, 2):
+        assert run_sharded(pow, shards, workers) == expected
+        # the old pool is shut down before the new one starts
+        assert len(multiprocessing.active_children()) <= workers
+    assert pool_starts == [2, 3, 2]
+
+
+def test_pool_that_lost_a_worker_is_replaced(monkeypatch, pool_starts):
+    monkeypatch.setattr(_parallel, "_pool_size", lambda workers, shards: workers)
+    shards = [(3, k) for k in range(8)]
+    expected = [pow(*args) for args in shards]
+    assert run_sharded(pow, shards, 2) == expected
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    # the pool marks itself broken, then stops its other worker
+    deadline = time.monotonic() + 30
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert run_sharded(pow, shards, 2) == expected
+    assert pool_starts == [2, 2]
 
 
 @pytest.mark.parametrize(

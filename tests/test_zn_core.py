@@ -1,12 +1,15 @@
 """Set algebra and predicate tests, including oracle cross-checks.
 
-The library computes sumsets run by run: each maximal run of consecutive
-members spreads the other operand by doubling shift-ORs.  Two oracles
-check it: the naive double loop over element lists, and the per-member
-shifted OR (one wrapped rotation per member) that the run kernel replaced.
-The byte-table mirror behind negation and the canonical dilation order is
-checked against the reversed membership string, and the rotation against
-the per-bit definition.
+The library computes sumsets by progressions of runs: consecutive runs
+of one length, one gap apart, spread the other operand by doubling
+shift-ORs, first over a run and then over the run starts.  Three oracles
+check it: the naive double loop over element lists, the per-member
+shifted OR (one wrapped rotation per member), and ``sumset_per_run``
+from ``oracles.py`` (one doubling spread and rotation per run), the
+kernel that the progression walk replaced.  The byte-table mirror behind
+negation and the canonical dilation order is checked against the
+reversed membership string, and the rotation against the per-bit
+definition.
 """
 
 import random
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_dilation_class
+from oracles import canonical_dilation_class, sumset_per_run
 from sumfree._bits import bit_positions, bits_from_positions, mirror, rotate
 from sumfree.errors import (
     DomainError,
@@ -23,7 +26,7 @@ from sumfree.errors import (
     ModulusMismatchError,
     NotAUnitError,
 )
-from sumfree.interval_ap_family import build_small, size_ladder
+from sumfree.interval_ap_family import build_small, density_choice, size_ladder
 from sumfree.zn_core import (
     CyclicSet,
     classify,
@@ -76,6 +79,7 @@ def assert_sumset_matches_oracles(n, a_bits, b_bits):
         got = sumset(x, y)
         assert got.elements() == naive
         assert got.bits == shift_or_sumset_bits(x.bits, y.bits, n)
+        assert got.bits == sumset_per_run(x.bits, y.bits, n)
 
 
 @st.composite
@@ -88,6 +92,67 @@ def run_structured_bits(draw, n):
         step = draw(st.sampled_from([1, draw(st.integers(min_value=1, max_value=n))]))
         members.extend(start + i * step for i in range(count))
     return CyclicSet.from_elements(n, members).bits
+
+
+PROGRESSION_SHAPES = (
+    "equal",
+    "unequal gaps",
+    "unequal lengths",
+    "two runs",
+    "to the top",
+)
+
+
+@st.composite
+def run_progression_bits(draw, n):
+    """A union of up to three progressions of runs, each inside [0, n).
+
+    A progression is m runs of length L whose starts lie D > L apart.
+    Each is drawn in one shape: as such, with the gaps or the run lengths
+    varied by up to 2, as two runs, or with its last run ending at n - 1.
+    """
+    bits = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        shape = draw(st.sampled_from(PROGRESSION_SHAPES))
+        length = draw(st.integers(min_value=1, max_value=n))
+        gap = draw(st.integers(min_value=length + 1, max_value=2 * length + 8))
+        most = 1 + (n - length) // (gap + 2)
+        count = min(2, most) if shape == "two runs" else draw(
+            st.integers(min_value=1, max_value=most)
+        )
+        gaps = [gap] * (count - 1)
+        lengths = [length] * count
+        if shape == "unequal gaps":
+            gaps = [gap + draw(st.integers(min_value=0, max_value=2)) for _ in gaps]
+        if shape == "unequal lengths":
+            lengths = [
+                length - draw(st.integers(min_value=0, max_value=min(2, length - 1)))
+                for _ in lengths
+            ]
+        offsets = [0]
+        for g in gaps:
+            offsets.append(offsets[-1] + g)
+        span = offsets[-1] + lengths[-1]
+        if shape == "to the top":
+            start = n - span
+        else:
+            start = draw(st.integers(min_value=0, max_value=n - span))
+        for offset, run_length in zip(offsets, lengths):
+            bits |= ((1 << run_length) - 1) << (start + offset)
+    return bits
+
+
+progression_pairs_strategy = st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        run_progression_bits(n),
+        st.one_of(
+            run_progression_bits(n),
+            run_structured_bits(n),
+            st.integers(min_value=0, max_value=(1 << n) - 1),
+        ),
+    )
+)
 
 
 run_pairs_strategy = st.integers(min_value=1, max_value=300).flatmap(
@@ -219,6 +284,14 @@ def test_sumset_matches_oracles_on_run_structured_sets(case):
     assert_sumset_matches_oracles(n, a_bits, a_bits)
 
 
+@given(progression_pairs_strategy)
+@settings(max_examples=300, deadline=None)
+def test_sumset_matches_oracles_on_run_progressions(case):
+    n, a_bits, b_bits = case
+    assert_sumset_matches_oracles(n, a_bits, b_bits)
+    assert_sumset_matches_oracles(n, a_bits, a_bits)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 65, 300])
 def test_sumset_run_edge_cases(n):
     full = (1 << n) - 1
@@ -252,6 +325,24 @@ def test_ladder_rungs_sum_to_their_complement(n):
         complement = S.bits ^ ((1 << n) - 1)
         assert sumset(S, S).bits == complement
         assert shift_or_sumset_bits(S.bits, S.bits, n) == complement
+
+
+def assert_sums_to_complement(S):
+    complement = S.bits ^ ((1 << S.modulus) - 1)
+    assert sumset(S, S).bits == complement
+    assert sumset_per_run(S.bits, S.bits, S.modulus) == complement
+
+
+def test_ladder_rungs_at_scale_sum_to_their_complement():
+    for params in size_ladder(10**5).rungs:
+        assert_sums_to_complement(build_small(params, checked=False))
+
+
+@pytest.mark.parametrize("k", range(5, 80, 10))
+def test_density_cells_sum_to_their_complement(k):
+    # the small-d cells have up to 18693 runs, nearly all one member of B or -B
+    cell = density_choice(99700, k / 240)
+    assert_sums_to_complement(build_small(cell, checked=False))
 
 
 # --- bit helpers ---
