@@ -1,10 +1,13 @@
 """Low-level bit-vector helpers shared by the group-algebra and search code.
 
-Each job has one implementation here: listing set bits, packing indices,
-mirroring a mask within a width, and rotating an n-bit mask.
+Each job has one implementation here: listing set bits, writing them as
+decimal text, packing indices, mirroring a mask within a width, and
+rotating an n-bit mask.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _BYTE_POSITIONS = tuple(
     tuple(j for j in range(8) if b >> j & 1) for b in range(256)
@@ -12,17 +15,75 @@ _BYTE_POSITIONS = tuple(
 
 _BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
+# every nonzero byte becomes 1, so bytes.find(1) jumps over runs of zero bytes
+_BYTE_NONZERO = bytes([0] + [1] * 255)
+
+_ZERO = ord("0")
+
+# masks of more bytes than this, with fewer set bits than bytes / 4, take
+# the zero-skipping path; random masks at the catalog sizes never do
+_SPARSE_MIN_BYTES = 64
+
 
 def bit_positions(bits: int) -> list[int]:
-    """Indices of set bits, ascending. O(total bytes + set bits)."""
+    """Indices of set bits, ascending.
+
+    A dense mask is walked byte by byte.  A sparse one (the edge mask of a
+    set made of few long runs) finds its nonzero bytes with bytes.find,
+    which skips runs of zero bytes in C, so its cost is the mask's length
+    in C plus its set bits in Python.
+    """
     out: list[int] = []
     nbytes = (bits.bit_length() + 7) >> 3
-    for i, byte in enumerate(bits.to_bytes(nbytes, "little")):
+    raw = bits.to_bytes(nbytes, "little")
+    if nbytes > _SPARSE_MIN_BYTES and bits.bit_count() < nbytes >> 2:
+        flags = raw.translate(_BYTE_NONZERO)
+        i = flags.find(1)
+        while i >= 0:
+            base = i << 3
+            for j in _BYTE_POSITIONS[raw[i]]:
+                out.append(base + j)
+            i = flags.find(1, i + 1)
+        return out
+    for i, byte in enumerate(raw):
         if byte:
             base = i << 3
             for j in _BYTE_POSITIONS[byte]:
                 out.append(base + j)
     return out
+
+
+def positions_text(bits: int, sep: str = ",") -> str:
+    """The decimal indices of the set bits, ascending, joined by ``sep``.
+
+    The same text as ``sep.join(map(str, bit_positions(bits)))``, written
+    by numpy with no Python int per member.  Ascending indices make each
+    digit count one contiguous slice; a slice of w-digit indices becomes
+    one uint8 matrix of w digit columns plus the separator's columns, and
+    the matrices' bytes are the text.
+    """
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), np.uint8)
+    # uint32 division by a constant is several times faster than int64's
+    dtype = np.uint32 if bits.bit_length() <= 1 << 32 else np.uint64
+    positions = np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool)).astype(dtype)
+    tail = np.frombuffer(sep.encode("ascii"), np.uint8)
+    chunks = []
+    lo = 0
+    width = 1
+    while lo < positions.size:
+        hi = int(np.searchsorted(positions, 10 ** width))
+        block = np.empty((hi - lo, width + tail.size), np.uint8)
+        block[:, width:] = tail
+        rest = positions[lo:hi]
+        for column in range(width - 1, 0, -1):
+            quotient = rest // 10
+            block[:, column] = rest + _ZERO - quotient * 10
+            rest = quotient
+        block[:, 0] = rest + _ZERO
+        chunks.append(block.tobytes())
+        lo = hi
+        width += 1
+    return b"".join(chunks)[: -tail.size or None].decode("ascii")
 
 
 def bits_from_positions(width: int, positions) -> int:

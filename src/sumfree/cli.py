@@ -19,6 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ._bits import positions_text
 from .applications import (
     ProcessConfig,
     cayley_graph,
@@ -47,6 +48,37 @@ from .zn_core import CyclicSet, classify, set_from_json, set_to_json
 __all__ = ["CommandEnvelope", "dispatch", "main"]
 
 
+# A non-empty CyclicSet in a payload is written as the JSON list of its
+# members straight from its bit mask (_bits.positions_text): json renders
+# the rest of the payload with a placeholder in the set's place, and the
+# placeholders are then replaced by the sets' text.
+_INDENT = 2
+# the payloads that hold sets hold no strings but their keys
+_PLACEHOLDER = "\ue000"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+
+
+def _splice_sets(text: str, masks: List[int], pretty: bool) -> str:
+    """Replace the placeholders in ``text``, in order, by the member lists
+    of ``masks``, laid out as json.dumps lays out a list; in pretty mode
+    the list is indented from the placeholder's own line."""
+    pieces = text.split(_PLACEHOLDER_JSON)
+    if len(pieces) != len(masks) + 1:
+        raise ValueError(
+            f"payload holds {len(pieces) - 1} set placeholders for {len(masks)} sets"
+        )
+    out = [pieces[0]]
+    for bits, before, after in zip(masks, pieces, pieces[1:]):
+        if pretty:
+            line = before[before.rfind("\n") + 1:]
+            outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            inner = outer + " " * _INDENT
+            out += ["[", inner, positions_text(bits, "," + inner), outer, "]", after]
+        else:
+            out += ["[", positions_text(bits), "]", after]
+    return "".join(out)
+
+
 @dataclass
 class CommandEnvelope:
     """What one invocation produced, before rendering."""
@@ -60,9 +92,21 @@ class CommandEnvelope:
     def rendered(self) -> str:
         if self.text:
             return str(self.payload)
+        masks: List[int] = []
+
+        def members(obj):
+            if not isinstance(obj, CyclicSet):
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            if not obj.bits:
+                return []
+            masks.append(obj.bits)
+            return _PLACEHOLDER
+
         if self.pretty:
-            return json.dumps(self.payload, indent=2)
-        return json.dumps(self.payload, separators=(",", ":"))
+            text = json.dumps(self.payload, indent=_INDENT, default=members)
+        else:
+            text = json.dumps(self.payload, separators=(",", ":"), default=members)
+        return _splice_sets(text, masks, self.pretty) if masks else text
 
 
 def _parse_members(raw: str) -> List[int]:
@@ -165,7 +209,7 @@ def _cmd_ladder(args: argparse.Namespace) -> CommandEnvelope:
                 "d": params.d,
                 "k": params.k,
                 "size": S.size,
-                "set": S.elements(),
+                "set": S,
             }
         )
     return CommandEnvelope({"n": ladder.n, "rungs": rungs})
@@ -184,7 +228,7 @@ def _cmd_density(args: argparse.Namespace) -> CommandEnvelope:
         "size": S.size,
         "density": S.size / args.n,
         "gap": abs(S.size / args.n - args.alpha),
-        "set": S.elements(),
+        "set": S,
     }
     return CommandEnvelope(payload)
 

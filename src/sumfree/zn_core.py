@@ -275,7 +275,12 @@ def set_from_json(obj: dict) -> CyclicSet:
         raise DomainError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(elements, list):
         raise DomainError("'elements' must be a list of integers")
-    for x in elements:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-            raise DomainError(f"element {x!r} outside [0, {n})")
+    # one pass in C over types and the range; the loop runs only to name
+    # the first bad element (or to accept int subclasses other than bool)
+    if elements and (
+        set(map(type, elements)) != {int} or min(elements) < 0 or max(elements) >= n
+    ):
+        for x in elements:
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+                raise DomainError(f"element {x!r} outside [0, {n})")
     return CyclicSet(n, bits_from_positions(n, elements))

@@ -19,8 +19,12 @@ runs the group predicates on it, as the library did before its
 equivalence sweep compared two searches; ``_run_trial_block``
 runs the random sum-free process one trial at a time on Python integers,
 as the library did before it ran 64 trials per machine word.
+``rendered_as_lists`` renders a CLI payload with every set as a json
+list of its members, as the CLI did before it wrote large sets as text
+from their bit masks; ``first_difference`` compares such texts.
 """
 
+import json
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -88,6 +92,30 @@ def sumset_per_run(a_bits: int, b_bits: int, n: int) -> int:
             width += step
         acc |= (spread << start) | (spread >> (n - start))
     return acc & ((1 << n) - 1)
+
+
+def rendered_as_lists(payload: object, pretty: bool) -> str:
+    """``CommandEnvelope(payload, pretty=pretty).rendered()`` with every
+    CyclicSet in the payload replaced by the list of its members."""
+
+    def members(obj):
+        return bit_positions(obj.bits)
+
+    if pretty:
+        return json.dumps(payload, indent=2, default=members)
+    return json.dumps(payload, separators=(",", ":"), default=members)
+
+
+def first_difference(got: str, expected: str) -> Optional[int]:
+    """Index of the first character where two texts differ, None if equal.
+
+    Assert on this for texts of megabytes: pytest's own diff of two long
+    lines compares them character by character and takes minutes.
+    """
+    if got == expected:
+        return None
+    pairs = enumerate(zip(got, expected))
+    return next((i for i, (a, b) in pairs if a != b), min(len(got), len(expected)))
 
 
 def brute_special(t: int) -> SpecialEnumeration:

@@ -5,20 +5,24 @@ payload (JSON, or DOT/edge text for graph exports) and diagnostics stay
 on stderr.
 """
 
+import hashlib
 import json
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import sumfree
+from oracles import first_difference, rendered_as_lists
 from sumfree import cli, search_oracle
-from sumfree.cli import build_parser, dispatch, main
+from sumfree.cli import CommandEnvelope, build_parser, dispatch, main
 from sumfree.special_sets import SpecialEnumeration, enumerate_special
-from sumfree.zn_core import classify, set_from_json
+from sumfree.zn_core import CyclicSet, classify, set_from_json
 
 
 SRC = os.path.dirname(os.path.dirname(sumfree.__file__))
@@ -219,6 +223,141 @@ def test_density_refined_vs_ladder_only(capsys):
     assert refined["size"] == 2499
     assert coarse["size"] == 2349
     assert refined["gap"] < coarse["gap"]
+
+
+# --- sets in payloads ---
+
+
+def _digit_crossings(top):
+    """Members 9, 10, 99, 100, ... up to top: every digit count changes."""
+    members = [0]
+    power = 10
+    while power <= top:
+        members += [power - 1, power]
+        power *= 10
+    return members
+
+
+def _render_cases():
+    rng = random.Random(14)
+    cases = [
+        CyclicSet(1, 0),
+        CyclicSet(1, 1),
+        CyclicSet(100001, sum(1 << p for p in _digit_crossings(100000))),
+        CyclicSet(100001, 1 << 100000),
+        CyclicSet(10, 1 << 9),
+        CyclicSet(11, 1 << 10),
+        CyclicSet(10**6, rng.getrandbits(10**6)),
+    ]
+    cases += [CyclicSet(n, rng.getrandbits(n)) for n in (2, 9, 40, 130, 2000, 99999)]
+    for size in (2, 3, 10, 199, 200, 201):
+        n = 3 * size + rng.randrange(5)
+        cases.append(CyclicSet.from_elements(n, rng.sample(range(n), size)))
+    return cases
+
+
+RENDER_CASES = _render_cases()
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_sets_render_like_member_lists(pretty):
+    payloads = list(RENDER_CASES)
+    payloads.append({"n": 5, "rungs": [{"size": S.size, "set": S} for S in RENDER_CASES]})
+    payloads.append({"t": 1, "set": {"n": 27, "elements": RENDER_CASES[2]}, "size": 3})
+    payloads.append([[RENDER_CASES[-1], RENDER_CASES[1]], {"a": [RENDER_CASES[2]]}])
+    for payload in payloads:
+        rendered = CommandEnvelope(payload, pretty=pretty).rendered()
+        assert first_difference(rendered, rendered_as_lists(payload, pretty)) is None
+
+
+def test_non_set_objects_still_fail_to_render():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        CommandEnvelope({"x": object()}).rendered()
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_placeholder_strings_in_a_payload_fail_to_render(pretty):
+    # a string that reads as a set's placeholder would shift every set after it
+    payload = {"note": cli._PLACEHOLDER, "set": CyclicSet(7, 0b1011)}
+    with pytest.raises(ValueError, match="2 set placeholders for 1 sets"):
+        CommandEnvelope(payload, pretty=pretty).rendered()
+    assert CommandEnvelope({"note": cli._PLACEHOLDER}, pretty=pretty).rendered()
+
+
+# sha256 of stdout before large sets were written from their bit masks
+LARGE_SET_STDOUT = [
+    ("ladder --n 1000",
+     "b34df9a401b1422cb73096bed2c84c33b2f55c19d6da7a1a8c900e2d3fb5dc17"),
+    ("ladder --n 1000 --pretty",
+     "d37eb002e7bc1afae2778c81dd339ea6c5fb31d6c2bb8741a7125e7a5f55efb3"),
+    ("density --n 1000 --alpha 0.25",
+     "cdd847e5b0d7c4bf8a11440bcbf70349f6f0d8fb13002daad9f317257661ad3a"),
+    ("density --n 1000 --alpha 0.25 --pretty",
+     "c8d426a79c5b5e4eb6579878f8f0fb31ec6294982ab3232fd691469921db2e14"),
+    ("density --n 1000 --alpha 0.3 --ladder-only",
+     "1c502898f329733a4300ed1a3c648a70ed8bba8ae588017ebce65dfdadd7ea08"),
+    ("density --n 1000 --alpha 0.3 --ladder-only --pretty",
+     "9aaa27fd24854d5c3337664b6b2e82a9420824407badec35a676ffec718da448"),
+    ("small build --t 81 --d 3 --k 44 --variant 14",
+     "ad556a9a791eaa46d5735e9995d0f087bbe7e6cfd0685596dc6c24c1678d7546"),
+    ("small build --t 81 --d 3 --k 44 --variant 14 --pretty",
+     "c40dda87d819807743639e8a67932449b60a7d95096ac92a9937069b6da33873"),
+    ("ladder --n 12000",
+     "558a8034569d0b97b4ddf79c1154a689810f64f04c4d7cc26207768250b9516d"),
+    ("ladder --n 12000 --pretty",
+     "36fe55651479e65f1eed9586bf537b83f5280f64ce2dd44a73b54741a5e2d119"),
+    ("density --n 12000 --alpha 0.25",
+     "dc591efff32f46e963e514efa3f35b725ee415323f9d2680d817fbb74d36ae9b"),
+    ("density --n 12000 --alpha 0.25 --pretty",
+     "05b4297cd9c99c3d9a7b2412fcd2e5560c2bc7ab98b281c75d80f619e572d309"),
+    ("density --n 12000 --alpha 0.3 --ladder-only",
+     "d0e47a37bce7c96a3e1dd5945ff17cc19b8d8717ef7fb10e0d900440a09feff7"),
+    ("density --n 12000 --alpha 0.3 --ladder-only --pretty",
+     "f89f40b2164eaad63e8b047da69a346208685325ecf3938c47a10eeb3dc4c208"),
+    ("small build --t 1197 --d 4 --k 302 --variant 14",
+     "cc75dd4b2bcadf05223fc247f8b99589f2342b05f60ebccd0a36e47d495f1330"),
+    ("small build --t 1197 --d 4 --k 302 --variant 14 --pretty",
+     "eee5c059a58e98c10598f8a957525ccec397d4f35b1f6adc2999bda5fd68f42f"),
+    ("ladder --n 100000",
+     "137718acffa4c831a02fa69d42feafe5419e6fcf62164d0d62a759ac8dc66d2b"),
+    ("ladder --n 100000 --pretty",
+     "190d81e11ef7ee7306ca2c8547962a2fc5ce31ca97006dac333a70df6e8cc973"),
+    ("density --n 100000 --alpha 0.25",
+     "cd7623dde76540b568a3c22d4fd705d74c18a4df6a4030e20bb499b4d9294b7b"),
+    ("density --n 100000 --alpha 0.25 --pretty",
+     "dcf699b1d289cdf2e6016c41abbd3e9c2a79fffc15027d190a31698fe29ca92a"),
+    ("density --n 100000 --alpha 0.3 --ladder-only",
+     "264b982dcd90f24272712c67ad18bb329ad834bad63ebaa284e29787995571cb"),
+    ("density --n 100000 --alpha 0.3 --ladder-only --pretty",
+     "b0ba8519951c10c6c9eb9dbffd3b3681194b287d37351f4890d5a48f6ebf71cc"),
+    ("small build --t 8331 --d 3 --k 4169 --variant 14",
+     "af33d1d853fe0fd662d2fb2a3641e7193d5443de2d500cda0683f2e1d25dde13"),
+    ("small build --t 8331 --d 3 --k 4169 --variant 14 --pretty",
+     "7fe1258fbbfe03675b6d90839506a2be3badf2eabc136207df59fda4f45fb45f"),
+]
+
+
+@pytest.mark.parametrize("line, digest", LARGE_SET_STDOUT)
+def test_large_set_stdout_is_unchanged(capsys, line, digest):
+    code, out, _ = run(capsys, *line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    envelope = dispatch(line.split())
+    expected = rendered_as_lists(envelope.payload, envelope.pretty) + "\n"
+    assert first_difference(out, expected) is None
+
+
+def test_ladder_at_scale_renders_without_member_lists():
+    # building the 25 rungs' member lists and rendering them peaked at
+    # 21.4 MiB; the text itself is 2.5 MB
+    tracemalloc.start()
+    try:
+        text = dispatch(["ladder", "--n", "100000"]).rendered()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak <= 10 << 20
 
 
 # --- search ---

@@ -18,8 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_dilation_class, sumset_per_run
-from sumfree._bits import bit_positions, bits_from_positions, mirror, rotate
+from oracles import canonical_dilation_class, first_difference, sumset_per_run
+from sumfree._bits import (
+    _SPARSE_MIN_BYTES,
+    bit_positions,
+    bits_from_positions,
+    mirror,
+    positions_text,
+    rotate,
+)
 from sumfree.errors import (
     DomainError,
     IntervalCoversGroupError,
@@ -366,6 +373,58 @@ def test_mirror_matches_string_reversal_at_scale():
         assert mirror(bits, width) == string_mirror_bits(bits, width)
 
 
+def naive_positions(bits):
+    """Indices of the 1s in the membership string, read from bit 0 up."""
+    return [i for i, c in enumerate(reversed(format(bits, "b"))) if c == "1"]
+
+
+def _position_masks():
+    """Dense, sparse and boundary masks for the two bit_positions paths."""
+    rng = random.Random(11)
+    edge = 8 * _SPARSE_MIN_BYTES
+    masks = [0, 1, 1 << 7, 1 << 8, (1 << 64) - 1]
+    for width in (40, 130, 2000, edge - 1, edge, edge + 1, edge + 9, 10**5):
+        top = 1 << (width - 1)
+        masks += [top, top | 1, rng.getrandbits(width) | top]
+        # fewer set bits than a quarter of the bytes: the zero-skipping path
+        for count in (1, 2, width // 40, width // 32 - 1, width // 32, width // 32 + 1):
+            if 1 <= count < width:
+                masks.append(sum(1 << p for p in rng.sample(range(width - 1), count)) | top)
+    rung = build_small(size_ladder(10**5).rungs[-1], checked=False).bits
+    masks += [rung, rung ^ (rung << 1)]
+    return masks
+
+
+def test_bit_positions_match_the_naive_oracle():
+    for bits in _position_masks():
+        assert bit_positions(bits) == naive_positions(bits)
+
+
+def test_bits_from_positions_inverts_bit_positions():
+    for bits in _position_masks():
+        width = bits.bit_length() + 3
+        assert bits_from_positions(width, naive_positions(bits)) == bits
+        assert bits_from_positions(width, reversed(naive_positions(bits))) == bits
+    assert bits_from_positions(5, [4, 4, 0]) == 0b10001
+
+
+@given(st.integers(min_value=0, max_value=(1 << 3000) - 1))
+@settings(max_examples=200, deadline=None)
+def test_bit_positions_match_the_naive_oracle_on_random_masks(bits):
+    assert bit_positions(bits) == naive_positions(bits)
+
+
+@pytest.mark.parametrize("sep", [",", ", ", ",\n      ", ""])
+def test_positions_text_joins_the_positions(sep):
+    masks = _position_masks()
+    # members on both sides of every change of digit count
+    masks.append(sum(1 << (10**k + d) for k in range(7) for d in (-1, 0)))
+    masks.append(random.Random(3).getrandbits(10**6))
+    for bits in masks:
+        expected = sep.join(map(str, naive_positions(bits)))
+        assert first_difference(positions_text(bits, sep), expected) is None
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 65])
 def test_rotate_matches_per_bit_definition(n):
     rng = random.Random(n)
@@ -546,9 +605,38 @@ def test_json_round_trip():
         {"n": 8, "elements": [8]},
         {"n": 8, "elements": [-1]},
         {"n": 8, "elements": [True]},
+        {"n": 8, "elements": [1.5]},
         {"n": True, "elements": []},
     ],
 )
 def test_json_rejects_malformed(obj):
     with pytest.raises(DomainError):
         set_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "elements, bad",
+    [
+        ([True], "True"),
+        ([1, 2, True, 9], "True"),
+        ([3, 1.5], "1.5"),
+        ([0, 1, "2"], "'2'"),
+        ([5, None], "None"),
+        ([2, -1, 8], "-1"),
+        ([7, 8], "8"),
+        ([9, 1.5], "9"),
+        ([1, [2]], "[2]"),
+    ],
+)
+def test_json_names_the_first_bad_element(elements, bad):
+    with pytest.raises(DomainError) as exc:
+        set_from_json({"n": 8, "elements": elements})
+    assert str(exc.value) == f"element {bad} outside [0, 8)"
+
+
+def test_json_accepts_int_subclasses_and_the_empty_list():
+    class Residue(int):
+        pass
+
+    assert set_from_json({"n": 8, "elements": [Residue(3), 5]}).bits == 0b101000
+    assert set_from_json({"n": 8, "elements": []}).bits == 0
