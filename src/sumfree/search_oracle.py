@@ -137,6 +137,7 @@ def _pair_orbits(n: int) -> List[int]:
 def _scsf_dfs(
     n: int,
     orbits: List[int],
+    shifts: List[Tuple[int, int]],
     suffix: List[int],
     index: int,
     s_bits: int,
@@ -144,29 +145,39 @@ def _scsf_dfs(
     size_filter: Optional[int],
     out: List[int],
 ) -> None:
+    """Append to out the complete sets among S and its sum-free supersets
+    by the orbits from index on; one call per sum-free set."""
     if size_filter is not None:
         size = s_bits.bit_count()
         if size > size_filter or size + suffix[index] < size_filter:
             return
-    if index == len(orbits):
-        if s_bits | ss_bits == (1 << n) - 1:
+    full = (1 << n) - 1
+    if s_bits | ss_bits == full:
+        # complete, so maximal: no orbit can join
+        if size_filter is None or size == size_filter:
             out.append(s_bits)
         return
-    orbit = orbits[index]
-    # skip this orbit
-    _scsf_dfs(n, orbits, suffix, index + 1, s_bits, ss_bits, size_filter, out)
-    # take it; S and S+S only grow, so a sum-free violation is permanent
-    new_s = s_bits | orbit
-    new_ss = ss_bits
-    for x in _orbit_shifts(orbit, n):
-        new_ss |= rotate(new_s, x, n)
-    if new_s & new_ss == 0:
-        _scsf_dfs(n, orbits, suffix, index + 1, new_s, new_ss, size_filter, out)
+    for i in range(index, len(orbits)):
+        # the suffix sums fall, so no later orbit reaches the filter either
+        if size_filter is not None and size + suffix[i] < size_filter:
+            break
+        orbit = orbits[i]
+        # S + S only grows, so an orbit it meets never joins below this node
+        if orbit & ss_bits:
+            continue
+        new_s = s_bits | orbit
+        wide = new_s | new_s << n
+        right, left = shifts[i]
+        new_ss = (ss_bits | wide >> right | wide >> left) & full
+        if not new_s & new_ss:
+            _scsf_dfs(n, orbits, shifts, suffix, i + 1, new_s, new_ss, size_filter, out)
 
 
-def _orbit_shifts(orbit: int, n: int) -> Tuple[int, ...]:
+def _orbit_shifts(orbit: int, n: int) -> Tuple[int, int]:
+    """The right shifts r = n - x, one per member x of the negation orbit
+    {x, n - x}: ((S | S << n) >> r) & full is rotate(S, x, n)."""
     x = (orbit & -orbit).bit_length() - 1
-    return (x,) if orbit == 1 << x else (x, n - x)
+    return (n - x, n - x) if orbit == 1 << x else (n - x, x)
 
 
 def _scsf_shard(
@@ -186,18 +197,31 @@ def _scsf_shard(
     suffix = [0] * (len(orbits) + 1)
     for i in range(len(orbits) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + orbits[i].bit_count()
-    s_bits, ss_bits = start, _sumset_bits(start, start, n)
+    s_bits = start
     for i in range(orbits_prefix_len):
         if prefix_choice >> i & 1:
             s_bits |= orbits[i]
-            for x in _orbit_shifts(orbits[i], n):
-                ss_bits |= rotate(s_bits, x, n)
+    ss_bits = _sumset_bits(s_bits, s_bits, n)
     # S and S + S only grow, so a sum-free violation here is permanent
     if s_bits & ss_bits:
         return []
+    shifts = [_orbit_shifts(orbit, n) for orbit in orbits]
     out: List[int] = []
-    _scsf_dfs(n, orbits, suffix, orbits_prefix_len, s_bits, ss_bits, size_filter, out)
+    _scsf_dfs(
+        n, orbits, shifts, suffix, orbits_prefix_len, s_bits, ss_bits, size_filter, out
+    )
     return out
+
+
+def _catalog_searches(n: int) -> List[Tuple[List[int], int]]:
+    """The catalog's (orbits, start) searches: for n >= 3, the members
+    holding 1 and those holding no unit."""
+    orbits = _pair_orbits(n)
+    if n <= 2:
+        return [(orbits, 0)]
+    # orbits[0] is {1, n - 1}; an orbit's lowest bit is its smaller residue
+    non_units = [o for o in orbits if gcd((o & -o).bit_length() - 1, n) > 1]
+    return [(orbits[1:], orbits[0]), (non_units, 0)]
 
 
 def _scsf_search(
@@ -212,6 +236,8 @@ def _scsf_search(
     bit fewer per doubling of the searches, so the shards number at most
     2**SHARD_BITS in all and one pool runs them.
     """
+    # one call per orbit taken and one for the root: a bound that only a
+    # chain taking every orbit reaches
     require_depth(
         max(len(orbits) for orbits, _ in searches) + 1, "the catalog search"
     )
@@ -236,8 +262,9 @@ def exhaustive_scsf(
     """Enumerate all symmetric complete sum-free subsets of Z_n.
 
     Candidates are unions of negation orbits {x, n - x} (0 is never
-    sum-free), searched depth-first with the partial sumset carried along;
-    sum-free failures prune, completeness is checked at the leaves.
+    sum-free), searched depth-first with the partial sumset carried along:
+    each node is one sum-free set, and it is either complete, hence a
+    member, or tries every later orbit that misses its sumset.
     Dilation by a unit u maps members to members, and a member holding a
     unit u has the dilate u^-1 * S, which holds 1.  So for n >= 3 two
     searches suffice: one from {1, n - 1} over the other orbits finds the
@@ -260,14 +287,7 @@ def exhaustive_scsf(
             required=cost,
             limit=limit,
         )
-    orbits = _pair_orbits(n)
-    if n <= 2:
-        searches = [(orbits, 0)]
-    else:
-        # orbits[0] is {1, n - 1}; an orbit's lowest bit is its smaller residue
-        non_units = [o for o in orbits if gcd((o & -o).bit_length() - 1, n) > 1]
-        searches = [(orbits[1:], orbits[0]), (non_units, 0)]
-    leaves = _scsf_search(n, searches, size_filter, workers)
+    leaves = _scsf_search(n, _catalog_searches(n), size_filter, workers)
     members, classes = _expand_orbits(n, leaves)
     for member in members:
         props = classify(member)
@@ -463,6 +483,14 @@ class EquivalenceReport:
         return not self.counterexamples
 
 
+def _window_search(n: int, s: int, t: int) -> Tuple[List[int], int]:
+    """The (orbits, start) search whose complete sets of size s are the
+    valid S_T: the 2t window orbits from the central interval."""
+    central = interval(n, n - 2 * s + 1, 2 * s - 1).bits
+    # the orbit of window position x is S_T for T = {x} without the interval
+    return [_st_bits(0, 1 << x, t, s) for x in range(2 * t)], central
+
+
 def verify_st_equivalence(
     n: int,
     s: int,
@@ -502,13 +530,10 @@ def verify_st_equivalence(
     # C(2t, t) <= 4**t <= limit, so the enumeration never refuses
     specials = enumerate_special(t, budget=limit)
     special = {T.mask for T in specials.sets}
-    central = interval(n, n - 2 * s + 1, 2 * s - 1).bits
-    # the orbit of window position x is S_T for T = {x} without the interval
-    orbits = [_st_bits(0, 1 << x, t, s) for x in range(2 * t)]
     # s + T sits in bits s .. s + 2t - 1 of S_T
     valid = {
         bits >> s & (total - 1)
-        for bits in _scsf_search(n, [(orbits, central)], s, workers)
+        for bits in _scsf_search(n, [_window_search(n, s, t)], s, workers)
     }
     counterexamples = sorted(tuple(bit_positions(mask)) for mask in special ^ valid)
     return EquivalenceReport(

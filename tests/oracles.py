@@ -11,7 +11,10 @@ it cut branches on the coverage condition;
 sumset claims of the interval-plus-progression construction;
 ``canonical_dilation_class`` and ``classes_per_member`` split a catalog
 into dilation classes one member at a time, as the library did before
-its orbit sweep; ``catalog_all_orbits`` and ``max_sum_free_from_empty``
+its orbit sweep; ``scsf_skip_take`` runs one catalog search by a
+recursion that skips or takes each orbit in turn, as the library did
+before it looped at each node over the orbits that can still join;
+``catalog_all_orbits`` (by that recursion) and ``max_sum_free_from_empty``
 search every set, not one representative per dilation orbit, as the
 library did before it expanded the orbits of the sets holding 1;
 ``equivalence_per_window`` builds S_T for each of the 4^t windows and
@@ -31,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from numpy.random import Generator, Philox
 
-from sumfree._bits import bit_positions, mirror
+from sumfree._bits import bit_positions, mirror, rotate
 from sumfree.errors import ConstructionError
 from sumfree.interval_ap_family import IntervalAPParameters, _half_even, component_sets
 from sumfree.search_oracle import (
@@ -41,7 +44,6 @@ from sumfree.search_oracle import (
     MaxSumFreeCatalog,
     _max_sum_free_extend,
     _pair_orbits,
-    _scsf_search,
 )
 from sumfree.special_sets import SpecialEnumeration, _with_member
 from sumfree.st_family import STParameters, TCandidate, _is_special_mask, _st_bits
@@ -232,14 +234,68 @@ def classes_per_member(members: Tuple[CyclicSet, ...]) -> Tuple[DilationClass, .
     )
 
 
+def _skip_take_dfs(
+    n: int,
+    orbits: List[int],
+    suffix: List[int],
+    index: int,
+    s_bits: int,
+    ss_bits: int,
+    size_filter: Optional[int],
+    out: List[int],
+) -> None:
+    """Decide orbits index..; one call per skip and per take of each orbit."""
+    if size_filter is not None:
+        size = s_bits.bit_count()
+        if size > size_filter or size + suffix[index] < size_filter:
+            return
+    if index == len(orbits):
+        if s_bits | ss_bits == (1 << n) - 1:
+            out.append(s_bits)
+        return
+    orbit = orbits[index]
+    # skip this orbit
+    _skip_take_dfs(n, orbits, suffix, index + 1, s_bits, ss_bits, size_filter, out)
+    # take it; S and S+S only grow, so a sum-free violation is permanent
+    new_s = s_bits | orbit
+    new_ss = ss_bits
+    x = (orbit & -orbit).bit_length() - 1
+    for shift in {x, n - x}:
+        new_ss |= rotate(new_s, shift, n)
+    if new_s & new_ss == 0:
+        _skip_take_dfs(n, orbits, suffix, index + 1, new_s, new_ss, size_filter, out)
+
+
+def scsf_skip_take(
+    n: int, orbits: List[int], start: int, size_filter: Optional[int] = None
+) -> List[int]:
+    """The complete sum-free sets start | (a union of orbits), in bit order.
+
+    One unsharded search that decides the orbits in turn, skip first, then
+    take, and tests completeness once every orbit is decided, as the
+    library did before its search looped over the orbits that can still
+    join.  It recurses once per orbit, so keep n well under twice the
+    recursion limit.
+    """
+    suffix = [0] * (len(orbits) + 1)
+    for i in range(len(orbits) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + orbits[i].bit_count()
+    ss_bits = _sumset_bits(start, start, n)
+    out: List[int] = []
+    if start & ss_bits == 0:
+        _skip_take_dfs(n, orbits, suffix, 0, start, ss_bits, size_filter, out)
+    return sorted(out)
+
+
 def catalog_all_orbits(n: int, size_filter: Optional[int] = None) -> Catalog:
-    """The catalog by one search from the empty set over every negation orbit.
+    """The catalog by one skip/take search from the empty set over every
+    negation orbit.
 
     No budget: at n = 56 it takes about 0.3 s.  Classes come from
     ``classes_per_member``.
     """
-    leaves = _scsf_search(n, [(_pair_orbits(n), 0)], size_filter, 1)
-    members = tuple(CyclicSet(n, bits) for bits in sorted(leaves))
+    leaves = scsf_skip_take(n, _pair_orbits(n), 0, size_filter)
+    members = tuple(CyclicSet(n, bits) for bits in leaves)
     return Catalog(n, size_filter, members, classes_per_member(members))
 
 

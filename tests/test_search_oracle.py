@@ -5,7 +5,9 @@ oracle: literal iteration over all 2^n subsets with the zn_core predicates.
 The searches over one representative per dilation orbit are checked
 against the searches over every set they replaced, their dilation classes
 against the per-member canonical form, and the S_T equivalence sweep
-against the per-window loop it replaced.
+against the per-window loop it replaced.  The catalog search, which
+loops at each node over the orbits that can still join, is checked
+against the skip/take recursion it replaced.
 """
 
 import sys
@@ -18,6 +20,7 @@ from oracles import (
     classes_per_member,
     equivalence_per_window,
     max_sum_free_from_empty,
+    scsf_skip_take,
     theorem_valid_pairs,
 )
 from sumfree import errors, search_oracle
@@ -29,9 +32,11 @@ from sumfree.errors import (
     DomainError,
 )
 from sumfree.search_oracle import (
+    _catalog_searches,
     _pair_orbits,
     _scsf_search,
     _scsf_shard,
+    _window_search,
     characterization_probe,
     exhaustive_max_sum_free,
     exhaustive_scsf,
@@ -163,6 +168,27 @@ def test_catalog_matches_search_over_all_orbits(monkeypatch, n):
         classes = tuple(c for c in expected.classes if c.representative.size == s)
         filtered = exhaustive_scsf(n, size_filter=s, budget=1 << 28)
         assert filtered == search_oracle.Catalog(n, s, members, classes)
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_catalog_leaves_match_skip_take_oracle(n):
+    for orbits, start in _catalog_searches(n):
+        expected = scsf_skip_take(n, orbits, start)
+        assert sorted(_scsf_search(n, [(orbits, start)], None, 1)) == expected
+        sizes = {bits.bit_count() for bits in expected}
+        # every size that occurs, and sizes that admit nothing
+        for s in sorted(sizes | {0, 1, 2, n // 2, n}):
+            leaves = _scsf_search(n, [(orbits, start)], s, 1)
+            assert sorted(leaves) == scsf_skip_take(n, orbits, start, s), (n, s)
+
+
+def test_window_leaves_match_skip_take_oracle():
+    for n, s in theorem_valid_pairs():
+        orbits, central = _window_search(n, s, (n - 3 * s + 1) // 2)
+        for size_filter in (s, None):
+            leaves = _scsf_search(n, [(orbits, central)], size_filter, 1)
+            expected = scsf_skip_take(n, orbits, central, size_filter)
+            assert sorted(leaves) == expected, (n, s, size_filter)
 
 
 def test_catalog_size_filter_consistent():
@@ -308,14 +334,28 @@ def _depth_limit():
     return sys.getrecursionlimit() - STACK_HEADROOM
 
 
+def _middle_orbits(n):
+    # the orbits {x, n - x} with n/3 < x <= n/2: their union is sum-free
+    return [o for o in _pair_orbits(n) if 3 * ((o & -o).bit_length() - 1) > n]
+
+
 def test_deepest_admitted_catalog_search_runs():
-    # with size filter 0 the search skips every orbit, one frame per orbit,
-    # so it reaches its full depth at once and finds nothing
-    n = 2 * (_depth_limit() - 1)
-    assert len(_pair_orbits(n)) + 1 == _depth_limit()
-    assert _scsf_search(n, [(_pair_orbits(n), 0)], 0, 1) == []
+    # a search takes one frame per orbit taken; at n = 6m + 2 the m + 1
+    # middle orbits form the complete set [2m + 1, 4m + 1], and with the
+    # size filter at its size the search takes every orbit in turn
+    m = _depth_limit() - 2
+    n = 6 * m + 2
+    orbits = _middle_orbits(n)
+    assert len(orbits) + 1 == _depth_limit()
+    middle = sum(orbits)
+    assert middle == ((1 << (2 * m + 1)) - 1) << (2 * m + 1)
+    # unsharded, the chain is one frame per orbit and one for its root
+    assert _scsf_shard(n, orbits, 0, 0, 0, middle.bit_count()) == [middle]
+    assert _scsf_search(n, [(orbits, 0)], middle.bit_count(), 1) == [middle]
+    n += 6
+    orbits = _middle_orbits(n)
     with pytest.raises(DepthLimitError) as exc:
-        _scsf_search(n + 2, [(_pair_orbits(n + 2), 0)], 0, 1)
+        _scsf_search(n, [(orbits, 0)], sum(orbits).bit_count(), 1)
     assert (exc.value.depth, exc.value.limit) == (_depth_limit() + 1, _depth_limit())
 
 
