@@ -33,9 +33,12 @@ def require_workers(workers: int) -> None:
 def shard_ranges(total: int) -> List[range]:
     """range(total) cut into consecutive blocks of whole 64-item words.
 
-    A bit-sliced block costs about the same per step at one word as at
-    2**SHARD_BITS, so blocks hold 64 << SHARD_BITS items; past 2**SHARD_BITS
-    blocks they grow, in whole words, so there are never more.
+    Blocks hold 64 << SHARD_BITS items; past 2**SHARD_BITS blocks they
+    grow, in whole words, so there are never more.  A bit-sliced step costs
+    about in proportion to its block's words: at span 2500 the simulation's
+    push takes about 4 us at one word, 50 us at 16 and 0.3 ms at 64 on two
+    shared CPUs.  So a large block saves little per item beyond the fixed
+    cost of each numpy call; what it buys is few shards.
     """
     words = -(-total // 64)
     step = 64 * max(1 << SHARD_BITS, -(-words // (1 << SHARD_BITS)))

@@ -8,7 +8,10 @@ one half.  Each claim is checked computationally here, never assumed; the
 graph properties are checked at vertex 0 and extend to every vertex because
 Cayley graphs are vertex-transitive.  The process runs bit-sliced: a block
 of trials shares one pass over the horizon, 64 trials to a uint64 word, and
-each step is a handful of numpy operations on whole rows of words.
+each step that can join is a handful of numpy operations on whole rows of
+words.  The steps outside M_S are settled once per chunk of steps, and
+after each chunk a block keeps only the trials still inside M_S once they
+fit in fewer words.
 """
 
 from __future__ import annotations
@@ -266,11 +269,6 @@ def _transpose_words(rows: np.ndarray) -> None:
         low ^= swap << shift
 
 
-# bytes of sums, and of joined, before a block first grows them: a block of
-# a few words runs a long horizon in one go, a full block starts at 2048 rows
-FIRST_BYTES = 1 << 20
-
-
 def _lane_coins(streams: List[Philox], steps: int) -> np.ndarray:
     """The next steps coins of every stream, bit-sliced.
 
@@ -298,11 +296,43 @@ def _lane_coins(streams: List[Philox], steps: int) -> np.ndarray:
     return coins
 
 
-def _grown(rows: np.ndarray, size: int) -> np.ndarray:
-    """rows followed by zero rows, size rows in all."""
-    out = np.zeros((size, rows.shape[1]), np.uint64)
-    out[: len(rows)] = rows
-    return out
+def _lane_bits(words: np.ndarray) -> np.ndarray:
+    """One uint8 per lane along the last axis: entry 64 w + i is bit i of word w.
+
+    The words are read as little-endian bytes, so the lane order does not
+    depend on the machine's byte order.
+    """
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, bitorder="little")
+
+
+def _grown(
+    rows: np.ndarray, size: int, first: int, lanes: Optional[np.ndarray]
+) -> np.ndarray:
+    """size rows, zero but for rows[first:] at their own indices.
+
+    With lanes given, only those lanes are kept, in order, in as few words
+    as hold them.  The rows are unpacked 64 at a time, so the unpacked
+    bits take 64 bytes per lane, not one byte per bit of rows.
+    """
+    if lanes is None:
+        out = np.zeros((size, rows.shape[1]), np.uint64)
+        out[first : len(rows)] = rows[first:]
+        return out
+    out = np.zeros((size, -(-len(lanes) // 64)), "<u8")
+    octets = out.view(np.uint8)
+    for lo in range(first, len(rows), 64):
+        bits = _lane_bits(rows[lo : lo + 64]).take(lanes, axis=1)
+        kept = np.packbits(bits, axis=1, bitorder="little")
+        octets[lo : lo + len(kept), : kept.shape[1]] = kept
+    return out.astype(np.uint64, copy=False)
+
+
+def _first_lanes(count: int) -> np.ndarray:
+    """Words whose first count lanes are set and whose padding lanes are clear."""
+    words = np.full(-(-count // 64), np.iinfo(np.uint64).max, np.uint64)
+    words[-1] >>= -count % 64
+    return words
 
 
 def _simulate_block(
@@ -318,12 +348,19 @@ def _simulate_block(
     The block's trials run in lockstep over z = 1..horizon, trial start + i
     in bit i % 64 of word i // 64.  Row z of joined holds the trials that
     join z and row z of sums those where z is already a sum of two joined
-    elements, so each step is a few operations on whole rows.  A trial
-    leaves M_S when a non-member is free for it; its alive bit clears, and
-    the block stops once no trial is left.  Memory follows the steps run:
-    sums and joined start with FIRST_BYTES each and double whenever step z
-    would write past them (row 2z), and coins are drawn only for the steps
-    that fit in the rows held.
+    elements, so each step is a few operations on whole rows.  Only member
+    steps run one by one: z joins where its coin is up and it is not yet a
+    sum.  A trial leaves M_S at the first non-member z that is free for it,
+    and since lanes never mix, a lane that has left may run on: the alive
+    mask drops it from the tally at the end.  The sums row of a non-member
+    step is final once the step has passed, so the steps run in chunks and
+    each chunk ends by clearing, in one operation, the alive bit of every
+    trial that one of its non-member steps left free.  The first chunk is
+    one coin word, 64 steps, and each later one doubles the steps drawn.
+    The block stops once no trial is left, and when the trials left fit in
+    fewer words it keeps only their lanes and their coin streams.  Memory
+    follows the steps run: sums and joined hold up to twice the steps
+    drawn, and coins only the current chunk.
     """
     # a plain-list key would turn a seed of 2**63 or more into a float64,
     # and nearby seeds would share a stream
@@ -331,46 +368,52 @@ def _simulate_block(
         Philox(key=np.array([seed, trial], np.uint64))
         for trial in range(start, start + count)
     ]
-    words = -(-count // 64)
-    alive = np.full(words, np.iinfo(np.uint64).max, np.uint64)
-    # the padding lanes of the last word start dead
-    alive[-1] >>= -count % 64
-    free = np.empty_like(alive)
-    # a multiple of 128, so that half of it is whole 64-bit coin words
-    first_rows = 128 * max(1, FIRST_BYTES // (8 * 128 * words))
-    # coins[z - coins_base] is step z's coin row, for z up to drawn; the
-    # rows of sums and joined reach 2 * drawn, or the horizon
+    alive = _first_lanes(count)
+    sums = joined = np.zeros((1, len(alive)), np.uint64)
     drawn = 0
-    sums = joined = np.zeros((1, words), np.uint64)
-    for z in range(1, horizon + 1):
-        if z > drawn:
-            # step z writes sums up to row min(2z, horizon): grow the rows,
-            # and draw the coins of the steps whose sums they hold
-            rows = min(horizon, max(4 * drawn, first_rows))
-            steps = (rows if rows == horizon else rows // 2) - drawn
-            # views of the old rows would keep them alive through the copy;
-            # the new coins wait until the old sums and joined are gone
-            coins = reach = scratch = None
-            sums = _grown(sums, rows + 1)
-            joined = _grown(joined, rows + 1)
-            coins = _lane_coins(streams, steps)
-            coins_base = z
-            drawn += steps
-            # min(z, horizon - z) rows at most
-            scratch = np.empty((rows // 2, words), np.uint64)
-        np.bitwise_and(coins[z - coins_base], alive, out=free)
-        free &= ~sums[z]
-        if member_bits is not None and not member_bits >> (z % modulus) & 1:
-            # free lies inside alive: the trials it holds leave
-            alive ^= free
+    while drawn < horizon:
+        lanes = None
+        live = int(np.bitwise_count(alive).sum())
+        if -(-live // 64) < len(alive):
+            # the trials left fit in fewer words: keep only their lanes
+            lanes = np.flatnonzero(_lane_bits(alive))
+            streams = [streams[lane] for lane in lanes]
+            alive = _first_lanes(live)
+        steps = min(horizon, max(64, 2 * drawn)) - drawn
+        # step z writes sums up to row min(2z, horizon)
+        rows = min(horizon, 2 * (drawn + steps))
+        # views of the old rows would keep them alive through the copy;
+        # the new coins wait until the old sums and joined are gone
+        coins = free = reach = scratch = None
+        # only the sums of the steps to come and the joins made are kept
+        sums = _grown(sums, rows + 1, drawn + 1, lanes)
+        joined = _grown(joined[: drawn + 1], rows + 1, 0, lanes)
+        coins = _lane_coins(streams, steps)
+        # min(z, horizon - z) rows at most
+        scratch = np.empty((rows // 2, len(alive)), np.uint64)
+        first = drawn + 1
+        drawn += steps
+        outside = []
+        for z in range(first, drawn + 1):
+            if member_bits is not None and not member_bits >> (z % modulus) & 1:
+                outside.append(z)
+                continue
+            free = joined[z]
+            np.invert(sums[z], out=free)
+            free &= coins[z - first]
+            # z + j is a sum in every trial holding both j and z
+            span = min(z, horizon - z)
+            reach = sums[z + 1 : z + 1 + span]
+            reach |= np.bitwise_and(joined[1 : span + 1], free, out=scratch[:span])
+        if outside:
+            # the sums rows of the chunk are final: a trial has left if a
+            # non-member step of it had its coin up and was no sum
+            outside = np.array(outside)
+            left = ~sums[outside]
+            left &= coins[outside - first]
+            alive &= ~np.bitwise_or.reduce(left, axis=0)
             if not alive.any():
-                break
-            continue
-        joined[z] = free
-        # z + j is a sum in every trial holding both j and z
-        span = min(z, horizon - z)
-        reach = sums[z + 1 : z + 1 + span]
-        reach |= np.bitwise_and(joined[1 : span + 1], free, out=scratch[:span])
+                return 0, 0
     joined &= alive
     return int(np.bitwise_count(alive).sum()), int(np.bitwise_count(joined).sum())
 
@@ -380,12 +423,13 @@ def simulate_random_sumfree(
 ) -> SimulationReport:
     """Run the seeded trials and tally containment and density.
 
-    A trial is contained when every joined element lies in M_S; trials
-    leaving M_S stop early since no later join can repair containment.
+    A trial is contained when every joined element lies in M_S; no later
+    join can repair containment, so a block drops the trials that have
+    left M_S once the rest fit in fewer words, and stops when none is left.
     The trials run in blocks of whole 64-trial words fixed by the trial
     count, each block in lockstep, with memory that grows with the steps
-    it runs, not with the horizon.  Tallies are integers, so the report is
-    identical for any worker count.
+    it runs, not with the horizon.  Tallies are integers summed over
+    lanes, so the report is identical for any worker count.
     """
     require_workers(workers)
     modulus = member_bits = None

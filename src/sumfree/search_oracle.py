@@ -273,11 +273,14 @@ def exhaustive_scsf(
     no unit (none for prime n).  The expansion's orbits are the catalog's
     dilation classes.  Both searches' shards, the choices on their first
     SHARD_BITS - 1 orbits, go to one sharded call; one worker runs them
-    in-process.  Every member is verified with ``classify``.
+    in-process.  Every member is verified with ``classify``.  A negative
+    size filter is refused: no set has that size.
     """
     require_workers(workers)
     if n < 1:
         raise DomainError(f"modulus must be positive, got {n}")
+    if size_filter is not None and size_filter < 0:
+        raise ParameterError(f"size filter must be >= 0, got {size_filter}")
     cost = 1 << (n // 2)
     limit = DEFAULT_SCSF_BUDGET if budget is None else budget
     if cost > limit:

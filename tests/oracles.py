@@ -19,9 +19,10 @@ search every set, not one representative per dilation orbit, as the
 library did before it expanded the orbits of the sets holding 1;
 ``equivalence_per_window`` builds S_T for each of the 4^t windows and
 runs the group predicates on it, as the library did before its
-equivalence sweep compared two searches; ``_run_trial_block``
-runs the random sum-free process one trial at a time on Python integers,
-as the library did before it ran 64 trials per machine word.
+equivalence sweep compared two searches; ``_run_trial`` runs the
+random sum-free process for one trial on Python integers, and
+``_run_trial_block`` tallies a block of such trials, as the library did
+before it ran 64 trials per machine word.
 ``rendered_as_lists`` renders a CLI payload with every set as a json
 list of its members, as the CLI did before it wrote large sets as text
 from their bit masks; ``first_difference`` compares such texts.
@@ -360,6 +361,30 @@ def _trial_coins(seed: int, trial: int, horizon: int) -> int:
     return (raw & ((1 << horizon) - 1)) << 1
 
 
+def _run_trial(
+    horizon: int,
+    seed: int,
+    trial: int,
+    modulus: Optional[int],
+    member_bits: Optional[int],
+) -> Tuple[Optional[int], int]:
+    """(step at which the trial leaves M_S or None, elements it joined)."""
+    full = (1 << (horizon + 1)) - 1
+    coins = _trial_coins(seed, trial, horizon)
+    joined = 0
+    sums = 0
+    candidates = coins
+    while candidates:
+        low = candidates & -candidates
+        z = low.bit_length() - 1
+        if member_bits is not None and not member_bits >> (z % modulus) & 1:
+            return z, joined.bit_count()
+        joined |= low
+        sums |= (joined << z) & full
+        candidates = coins & ~sums & ~((low << 1) - 1)
+    return None, joined.bit_count()
+
+
 def _run_trial_block(
     horizon: int,
     seed: int,
@@ -369,25 +394,11 @@ def _run_trial_block(
     member_bits: Optional[int],
 ) -> Tuple[int, int]:
     """(contained trials, total joined among contained) for one block."""
-    full = (1 << (horizon + 1)) - 1
     contained = 0
     joined_total = 0
     for trial in range(start, start + count):
-        coins = _trial_coins(seed, trial, horizon)
-        joined = 0
-        sums = 0
-        ok = True
-        candidates = coins
-        while candidates:
-            low = candidates & -candidates
-            z = low.bit_length() - 1
-            if member_bits is not None and not member_bits >> (z % modulus) & 1:
-                ok = False
-                break
-            joined |= low
-            sums |= (joined << z) & full
-            candidates = coins & ~sums & ~((low << 1) - 1)
-        if ok:
+        left_at, joined = _run_trial(horizon, seed, trial, modulus, member_bits)
+        if left_at is None:
             contained += 1
-            joined_total += joined.bit_count()
+            joined_total += joined
     return contained, joined_total

@@ -26,7 +26,7 @@ from sumfree.search_oracle import exhaustive_scsf
 from sumfree.st_family import STParameters, TCandidate, build_st
 from sumfree.zn_core import CyclicSet
 
-from oracles import _run_trial_block
+from oracles import _run_trial, _run_trial_block
 
 
 def mk(n, elements):
@@ -325,6 +325,15 @@ ORACLE_RUNS = {
     "top-seed": (90, 131, 2**64 - 1, (2, [1])),
     # one full block and one trial in a second
     "block-boundary": (12, 4097, 11, (2, [1])),
+    # the first leave is at step 100, and the trials left first fit in
+    # fewer words after step 256
+    "late-first-leave": (300, 300, 12, (100, range(1, 100))),
+    # the lanes shrink from 5 words to 4 after step 256 and to 3 after 512
+    "two-repacks": (600, 300, 14, (100, range(1, 100))),
+    # the lanes shrink to 2 words after the first 64 steps
+    "repack-top-seed": (150, 300, 2**64 - 1, (2, [1])),
+    # a repack after step 64, then a last chunk of 33 steps
+    "horizon-mid-chunk": (97, 300, 16, (2, [1])),
 }
 
 
@@ -345,22 +354,70 @@ def test_simulation_matches_one_trial_oracle(name):
 
 
 @pytest.mark.parametrize("name", ["unconditioned", "odd", "z5", "padding-lanes"])
-def test_growing_block_matches_one_trial_oracle(monkeypatch, name):
-    # the first rows shrink to 128, so at horizon 1500 a block's rows go
-    # 128, 256, 512, 1024, 1500, with a coin draw at each, the first of
-    # one 64-bit word per trial
+def test_growing_block_matches_one_trial_oracle(name):
+    # at horizon 1500 a block's rows go 128, 256, 512, 1024, 1500, with a
+    # coin draw at each, the first of one 64-bit word per trial
     horizon, trials, seed, conditioning = ORACLE_RUNS[name]
     horizon *= 10
     modulus = member_bits = None
     if conditioning is not None:
         conditioning = mk(*conditioning)
         modulus, member_bits = conditioning.modulus, conditioning.bits
-    monkeypatch.setattr(applications, "FIRST_BYTES", 1)
     report = simulate_random_sumfree(
         ProcessConfig(horizon, trials, seed, conditioning)
     )
     expected = _run_trial_block(horizon, seed, 0, trials, modulus, member_bits)
     assert (report.contained_trials, report.joined_total) == expected
+
+
+def _coin_draws(monkeypatch):
+    """Record the streams and the steps of every _lane_coins call."""
+    draws = []
+    lane_coins = applications._lane_coins
+
+    def recorded(streams, steps):
+        draws.append((list(streams), steps))
+        return lane_coins(streams, steps)
+
+    monkeypatch.setattr(applications, "_lane_coins", recorded)
+    return draws
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["odd", "late-first-leave", "two-repacks", "repack-top-seed",
+     "horizon-mid-chunk", "padding-lanes-odd"],
+)
+def test_coins_are_drawn_for_the_trials_left(monkeypatch, name):
+    # after each chunk the block keeps the trials that have not left when
+    # they fit in fewer words, and every trial otherwise
+    horizon, trials, seed, conditioning = ORACLE_RUNS[name]
+    conditioning = mk(*conditioning)
+    modulus, member_bits = conditioning.modulus, conditioning.bits
+    left_at = [
+        _run_trial(horizon, seed, trial, modulus, member_bits)[0]
+        for trial in range(trials)
+    ]
+    recorded = _coin_draws(monkeypatch)
+    simulate_random_sumfree(ProcessConfig(horizon, trials, seed, conditioning))
+    # a stream's key is (seed, trial)
+    draws = [
+        ([int(stream.state["state"]["key"][1]) for stream in streams], steps)
+        for streams, steps in recorded
+    ]
+    assert draws[0] == (list(range(trials)), min(64, horizon))
+    drawn = 0
+    repacks = 0
+    for (before, steps), (after, _) in zip(draws, draws[1:]):
+        drawn += steps
+        live = [t for t in before if left_at[t] is None or left_at[t] > drawn]
+        if -(-len(live) // 64) < -(-len(before) // 64):
+            assert after == live
+            repacks += 1
+        else:
+            assert after == before
+    assert drawn + draws[-1][1] == horizon
+    assert repacks == (2 if name == "two-repacks" else 1)
 
 
 def test_one_block_allocates_little_beyond_its_three_arrays():
@@ -393,3 +450,21 @@ def test_block_memory_follows_the_steps_run():
         tracemalloc.stop()
     assert report.contained_trials == 0
     assert peak <= 8 << 20
+
+
+def test_block_repacked_late_stays_within_the_same_memory(monkeypatch):
+    # no trial can leave before step 1000, so the full block runs on 64
+    # words until its chunk of steps 513..1024 and repacks only then
+    config = ProcessConfig(
+        horizon=5000, trials=4096, seed=7, conditioning=mk(1000, range(1, 1000))
+    )
+    draws = _coin_draws(monkeypatch)
+    tracemalloc.start()
+    try:
+        simulate_random_sumfree(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    counts = [len(streams) for streams, _ in draws]
+    assert counts[:5] == [4096] * 5 and counts[5] <= 4096 - 64
+    assert peak <= 16 << 20

@@ -387,6 +387,15 @@ def test_search_exhaustive_size_filter(capsys):
     assert payload["count"] == 2
 
 
+def test_search_exhaustive_negative_size_refused(capsys):
+    # no set has a negative size; this printed an empty catalog and exited 0
+    code, payload = run_json(
+        capsys, "search", "exhaustive", "--n", "40", "--size", "-1"
+    )
+    assert code == 1
+    assert payload["error"]["type"] == "ParameterError"
+
+
 def test_search_maxsumfree(capsys):
     code, payload = run_json(capsys, "search", "maxsumfree", "--p", "11")
     assert code == 0

@@ -30,6 +30,7 @@ from sumfree.errors import (
     BudgetExceededError,
     DepthLimitError,
     DomainError,
+    ParameterError,
 )
 from sumfree.search_oracle import (
     _catalog_searches,
@@ -210,6 +211,12 @@ def test_catalog_workers_agree():
             unsharded = sorted(_scsf_shard(n, _pair_orbits(n), 0, 0, 0, size_filter))
             assert [m.bits for m in single.members] == unsharded
             assert exhaustive_scsf(n, size_filter, workers=3) == single
+
+
+@pytest.mark.parametrize("size_filter", [-1, -40])
+def test_catalog_refuses_negative_size_filter(size_filter):
+    with pytest.raises(ParameterError, match="size filter"):
+        exhaustive_scsf(40, size_filter)
 
 
 def test_catalog_budget_refusal():
