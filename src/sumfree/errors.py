@@ -1,13 +1,7 @@
-"""Exception types shared across the package, how their messages print
-counts, and the recursion-depth check the depth-first searches share."""
+"""Exception types shared across the package, and how their messages
+print counts."""
 
 from __future__ import annotations
-
-import sys
-
-# frames of the recursion limit kept back from a search: the caller's stack
-# under it (the CLI, a test runner, a pool worker) and the helpers each node calls
-STACK_HEADROOM = 200
 
 
 class SumfreeError(Exception):
@@ -46,29 +40,6 @@ class BudgetExceededError(SumfreeError):
         super().__init__(message)
         self.required = required
         self.limit = limit
-
-
-class DepthLimitError(SumfreeError):
-    """A depth-first search would recurse deeper than the interpreter allows."""
-
-    def __init__(self, message: str, depth: int, limit: int):
-        super().__init__(message)
-        self.depth = depth
-        self.limit = limit
-
-
-def require_depth(depth: int, search: str) -> None:
-    """Refuse, before it starts, a search that recurses depth levels deep
-    when the interpreter's recursion limit, less STACK_HEADROOM, is lower."""
-    limit = sys.getrecursionlimit() - STACK_HEADROOM
-    if depth > limit:
-        raise DepthLimitError(
-            f"{search} recurses {depth} levels deep, the interpreter allows "
-            f"{limit} (recursion limit {sys.getrecursionlimit()} less "
-            f"{STACK_HEADROOM} for the frames below the search)",
-            depth=depth,
-            limit=limit,
-        )
 
 
 def count_text(count: int) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Set, Tuple
 
-from ._bits import bit_positions, bits_from_positions, mirror, rotate
+from ._bits import bit_positions, bits_from_positions, mirror
 from ._parallel import SHARD_BITS, require_workers, run_sharded
 from ._primes import is_prime
 from .errors import (
@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     ParameterError,
     count_text,
-    require_depth,
 )
 from .special_sets import PredictedCount, _predicted_count, enumerate_special
 from .st_family import STParameters, _st_bits, build_st
@@ -143,34 +142,38 @@ def _scsf_dfs(
     s_bits: int,
     ss_bits: int,
     size_filter: Optional[int],
-    out: List[int],
-) -> None:
-    """Append to out the complete sets among S and its sum-free supersets
-    by the orbits from index on; one call per sum-free set."""
-    if size_filter is not None:
-        size = s_bits.bit_count()
-        if size > size_filter or size + suffix[index] < size_filter:
-            return
+) -> List[int]:
+    """The complete sets among S and its sum-free supersets by the orbits
+    from index on; one stack entry per sum-free set."""
     full = (1 << n) - 1
-    if s_bits | ss_bits == full:
-        # complete, so maximal: no orbit can join
-        if size_filter is None or size == size_filter:
-            out.append(s_bits)
-        return
-    for i in range(index, len(orbits)):
-        # the suffix sums fall, so no later orbit reaches the filter either
-        if size_filter is not None and size + suffix[i] < size_filter:
-            break
-        orbit = orbits[i]
-        # S + S only grows, so an orbit it meets never joins below this node
-        if orbit & ss_bits:
+    out: List[int] = []
+    stack = [(index, s_bits, ss_bits)]
+    while stack:
+        index, s_bits, ss_bits = stack.pop()
+        if size_filter is not None:
+            size = s_bits.bit_count()
+            if size > size_filter or size + suffix[index] < size_filter:
+                continue
+        if s_bits | ss_bits == full:
+            # complete, so maximal: no orbit can join
+            if size_filter is None or size == size_filter:
+                out.append(s_bits)
             continue
-        new_s = s_bits | orbit
-        wide = new_s | new_s << n
-        right, left = shifts[i]
-        new_ss = (ss_bits | wide >> right | wide >> left) & full
-        if not new_s & new_ss:
-            _scsf_dfs(n, orbits, shifts, suffix, i + 1, new_s, new_ss, size_filter, out)
+        for i in range(index, len(orbits)):
+            # the suffix sums fall, so no later orbit reaches the filter either
+            if size_filter is not None and size + suffix[i] < size_filter:
+                break
+            orbit = orbits[i]
+            # S + S only grows, so an orbit it meets never joins below this node
+            if orbit & ss_bits:
+                continue
+            new_s = s_bits | orbit
+            wide = new_s | new_s << n
+            right, left = shifts[i]
+            new_ss = (ss_bits | wide >> right | wide >> left) & full
+            if not new_s & new_ss:
+                stack.append((i + 1, new_s, new_ss))
+    return out
 
 
 def _orbit_shifts(orbit: int, n: int) -> Tuple[int, int]:
@@ -206,11 +209,9 @@ def _scsf_shard(
     if s_bits & ss_bits:
         return []
     shifts = [_orbit_shifts(orbit, n) for orbit in orbits]
-    out: List[int] = []
-    _scsf_dfs(
-        n, orbits, shifts, suffix, orbits_prefix_len, s_bits, ss_bits, size_filter, out
+    return _scsf_dfs(
+        n, orbits, shifts, suffix, orbits_prefix_len, s_bits, ss_bits, size_filter
     )
-    return out
 
 
 def _catalog_searches(n: int) -> List[Tuple[List[int], int]]:
@@ -236,11 +237,6 @@ def _scsf_search(
     bit fewer per doubling of the searches, so the shards number at most
     2**SHARD_BITS in all and one pool runs them.
     """
-    # one call per orbit taken and one for the root: a bound that only a
-    # chain taking every orbit reaches
-    require_depth(
-        max(len(orbits) for orbits, _ in searches) + 1, "the catalog search"
-    )
     bits = SHARD_BITS - (len(searches) - 1).bit_length()
     shards = []
     for orbits, start in searches:
@@ -299,43 +295,50 @@ def exhaustive_scsf(
     return Catalog(n, size_filter, members, classes)
 
 
-def _max_sum_free_extend(
-    p: int,
-    inv2: int,
-    s_bits: int,
-    neg_bits: int,
-    size: int,
-    allowed: int,
-    best: List[int],
-    out: List[Tuple[int, int]],
-) -> None:
-    if size + allowed.bit_count() < best[0]:
-        return
-    if allowed == 0:
-        # no element can join, so every maximum set shows up exactly here
-        if size > best[0]:
-            best[0] = size
-        out.append((size, s_bits))
-        return
-    rest = allowed
-    while rest:
+def _max_sum_free_leaves(p: int) -> List[Tuple[int, int]]:
+    """The (size, bits) leaves of the search from {1}, in visit order.
+
+    A stack entry is a sum-free set S, the mask of -S, |S| and the elements
+    that can still join and are untried at that node.  Popping one tries
+    its least candidate x: the rest go back on the stack and the child
+    S | {x} above them, so the children come in increasing order of x.
+    """
+    inv2 = pow(2, -1, p)
+    best = 0
+    leaves: List[Tuple[int, int]] = []
+    # {1} rules out 1 + 1 = 2 and 1 / 2 = inv2 as further members
+    allowed = ((1 << p) - 1) & ~0b111 & ~(1 << inv2)
+    stack = [(0b10, 1 << (p - 1), 1, allowed)]
+    while stack:
+        s_bits, neg_bits, size, rest = stack.pop()
+        # best may have grown since this entry was pushed
+        if size + rest.bit_count() < best:
+            continue
+        # a node goes back on the stack only with candidates left, so an
+        # empty rest means no element can join: every maximum set shows up
+        # exactly here
+        if not rest:
+            if size > best:
+                best = size
+            leaves.append((size, s_bits))
+            continue
         low = rest & -rest
         x = low.bit_length() - 1
         rest ^= low
+        if rest:
+            stack.append((s_bits, neg_bits, size, rest))
         new_s = s_bits | low
         new_neg = neg_bits | (1 << (p - x))
+        # S + x, S - x and x - S are right shifts of S | S << p and of
+        # -S | -S << p; the bits past p - 1 fall outside rest
+        wide_s = new_s | new_s << p
+        wide_neg = new_neg | new_neg << p
         forbidden = (
-            rotate(new_s, x, p)
-            | rotate(new_s, p - x, p)
-            | rotate(new_neg, x, p)
-            | (1 << (inv2 * x % p))
+            wide_s >> (p - x) | wide_s >> x | wide_neg >> (p - x) | 1 << (inv2 * x % p)
         )
-        # only explore y > x to the right; smaller y belong to earlier branches
-        _max_sum_free_extend(
-            p, inv2, new_s, new_neg, size + 1, rest & ~forbidden, best, out
-        )
-        if size + rest.bit_count() < best[0]:
-            return
+        # only y > x can join below; smaller y belong to earlier branches
+        stack.append((new_s, new_neg, size + 1, rest & ~forbidden))
+    return leaves
 
 
 def exhaustive_max_sum_free(
@@ -360,16 +363,8 @@ def exhaustive_max_sum_free(
             required=p,
             limit=limit,
         )
-    # one call per member; by Cauchy-Davenport |S + S| >= 2|S| - 1, and
-    # S + S misses S, so a sum-free set has at most (p + 1) / 3 members
-    require_depth((p + 1) // 3 + 1, "the maximum-sum-free search")
-    inv2 = pow(2, -1, p)
-    best = [0]
-    leaves: List[Tuple[int, int]] = []
-    # {1} rules out 1 + 1 = 2 and 1 / 2 = inv2 as further members
-    allowed = ((1 << p) - 1) & ~0b111 & ~(1 << inv2)
-    _max_sum_free_extend(p, inv2, 0b10, 1 << (p - 1), 1, allowed, best, leaves)
-    max_size = best[0]
+    leaves = _max_sum_free_leaves(p)
+    max_size = max(size for size, _ in leaves)
     members, classes = _expand_orbits(
         p, [bits for size, bits in leaves if size == max_size]
     )

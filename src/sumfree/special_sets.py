@@ -26,13 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ._bits import mirror
 from ._primes import is_prime
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    ParameterError,
-    count_text,
-    require_depth,
-)
+from .errors import BudgetExceededError, DomainError, ParameterError, count_text
 from .st_family import TCandidate, _is_special_mask
 
 __all__ = [
@@ -84,27 +78,34 @@ def _with_member(x: int, T: int, T2: int, T3: int) -> Tuple[int, int, int]:
     )
 
 
-def _special_dfs(
-    t: int, x: int, size: int, T: int, T2: int, T3: int, out: List[int]
-) -> None:
-    """Decide positions x..2t-1; append the t-special completions of T to out."""
-    if size == t:
-        if _is_special_mask(T, t):
-            out.append(T)
-        return
-    if 2 * t - x < t - size:
-        return
-    # a sum below x has both members below x, so T + T is final there; a
-    # y < x outside T + T needs 2t - 1 - y in T, and if that position is
-    # already decided out, no completion covers y
-    low = (1 << x) - 1
-    if low & ~T2 & mirror(~T & low, 2 * t):
-        return
-    _special_dfs(t, x + 1, size, T, T2, T3, out)
-    T, T2, T3 = _with_member(x, T, T2, T3)
-    # T + T + T only grows, so once it holds 2t - 1 no superset is special
-    if not T3 >> (2 * t - 1) & 1:
-        _special_dfs(t, x + 1, size + 1, T, T2, T3, out)
+def _special_dfs(t: int) -> List[int]:
+    """The t-special windows, by a stack of nodes (x, |T|, T, T + T,
+    T + T + T) whose positions below x are decided.
+
+    A popped node leaves x out and goes on to x + 1 in place; the node
+    that takes x waits on the stack.
+    """
+    out: List[int] = []
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        x, size, T, T2, T3 = stack.pop()
+        if size == t:
+            if _is_special_mask(T, t):
+                out.append(T)
+            continue
+        while 2 * t - x >= t - size:
+            # a sum below x has both members below x, so T + T is final
+            # there; a y < x outside T + T needs 2t - 1 - y in T, and if
+            # that position is already decided out, no completion covers y
+            low = (1 << x) - 1
+            if low & ~T2 & mirror(~T & low, 2 * t):
+                break
+            U, U2, U3 = _with_member(x, T, T2, T3)
+            # T + T + T only grows, so once it holds 2t - 1 no superset is special
+            if not U3 >> (2 * t - 1) & 1:
+                stack.append((x + 1, size + 1, U, U2, U3))
+            x += 1
+    return out
 
 
 def enumerate_special(t: int, *, budget: Optional[int] = None) -> SpecialEnumeration:
@@ -133,10 +134,7 @@ def enumerate_special(t: int, *, budget: Optional[int] = None) -> SpecialEnumera
             required=cost,
             limit=limit,
         )
-    # one call per decided position, and one for the leaf
-    require_depth(2 * t + 1, "the t-special window search")
-    masks: List[int] = []
-    _special_dfs(t, 0, 0, 0, 0, 0, masks)
+    masks = _special_dfs(t)
     return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in sorted(masks)))
 
 

@@ -14,9 +14,12 @@ into dilation classes one member at a time, as the library did before
 its orbit sweep; ``scsf_skip_take`` runs one catalog search by a
 recursion that skips or takes each orbit in turn, as the library did
 before it looped at each node over the orbits that can still join;
-``catalog_all_orbits`` (by that recursion) and ``max_sum_free_from_empty``
-search every set, not one representative per dilation orbit, as the
-library did before it expanded the orbits of the sets holding 1;
+``_max_sum_free_extend`` runs the maximum-sum-free search by one call
+per sum-free set, as the library did before it kept its own stack;
+``catalog_all_orbits`` (by the skip/take recursion) and
+``max_sum_free_from_empty`` (by ``_max_sum_free_extend``) search every
+set, not one representative per dilation orbit, as the library did
+before it expanded the orbits of the sets holding 1;
 ``equivalence_per_window`` builds S_T for each of the 4^t windows and
 runs the group predicates on it, as the library did before its
 equivalence sweep compared two searches; ``_run_trial`` runs the
@@ -43,7 +46,6 @@ from sumfree.search_oracle import (
     DilationClass,
     EquivalenceReport,
     MaxSumFreeCatalog,
-    _max_sum_free_extend,
     _pair_orbits,
 )
 from sumfree.special_sets import SpecialEnumeration, _with_member
@@ -298,6 +300,45 @@ def catalog_all_orbits(n: int, size_filter: Optional[int] = None) -> Catalog:
     leaves = scsf_skip_take(n, _pair_orbits(n), 0, size_filter)
     members = tuple(CyclicSet(n, bits) for bits in leaves)
     return Catalog(n, size_filter, members, classes_per_member(members))
+
+
+def _max_sum_free_extend(
+    p: int,
+    inv2: int,
+    s_bits: int,
+    neg_bits: int,
+    size: int,
+    allowed: int,
+    best: List[int],
+    out: List[Tuple[int, int]],
+) -> None:
+    if size + allowed.bit_count() < best[0]:
+        return
+    if allowed == 0:
+        # no element can join, so every maximum set shows up exactly here
+        if size > best[0]:
+            best[0] = size
+        out.append((size, s_bits))
+        return
+    rest = allowed
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        rest ^= low
+        new_s = s_bits | low
+        new_neg = neg_bits | (1 << (p - x))
+        forbidden = (
+            rotate(new_s, x, p)
+            | rotate(new_s, p - x, p)
+            | rotate(new_neg, x, p)
+            | (1 << (inv2 * x % p))
+        )
+        # only explore y > x to the right; smaller y belong to earlier branches
+        _max_sum_free_extend(
+            p, inv2, new_s, new_neg, size + 1, rest & ~forbidden, best, out
+        )
+        if size + rest.bit_count() < best[0]:
+            return
 
 
 def max_sum_free_from_empty(p: int) -> MaxSumFreeCatalog:

@@ -572,25 +572,6 @@ def test_budget_refusal_beyond_printable_digits(capsys, argv, count):
     assert f" {count} " in payload["error"]["message"]
 
 
-@pytest.mark.parametrize(
-    "argv, depth",
-    [
-        (["special", "enum", "--t", "1000", "--budget", str(10**700),
-          "--count-only"], 2001),
-        (["search", "exhaustive", "--n", "2100", "--budget", str(2**1100)], 1050),
-    ],
-    ids=["special-enum", "search-exhaustive"],
-)
-def test_search_deeper_than_the_interpreter_allows_is_refused(capsys, argv, depth):
-    # the budget admits both; the recursion limit does not, so the command
-    # refuses before the search starts instead of raising RecursionError
-    code, payload = run_json(capsys, *argv)
-    assert code == 1
-    assert payload["error"]["type"] == "DepthLimitError"
-    assert f"recurses {depth} levels deep" in payload["error"]["message"]
-    assert f"allows {sys.getrecursionlimit() - 200} " in payload["error"]["message"]
-
-
 def test_closed_stdout_is_quiet():
     # the reader takes 80 bytes of a ~2.4 MB payload and closes the pipe
     proc = subprocess.Popen(

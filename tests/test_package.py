@@ -224,6 +224,52 @@ def test_no_import_inside_a_function(path):
     assert not lines, f"{path.name} imports inside functions at lines {lines}"
 
 
+def _calls_itself(func):
+    """Whether func calls its own name, as f(...), self.f(...) or cls.f(...);
+    super().f(...) calls another class's f."""
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func
+        if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+            if callee.value.id in ("self", "cls") and callee.attr == func.name:
+                return True
+        elif isinstance(callee, ast.Name) and callee.id == func.name:
+            return True
+    return False
+
+
+def _self_calls(tree):
+    """Names of the functions and methods in tree that call themselves."""
+    return sorted(
+        {
+            func.name
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _calls_itself(func)
+        }
+    )
+
+
+def test_self_call_scan_finds_recursion():
+    tree = ast.parse(
+        "def f(k):\n    return f(k - 1)\n"
+        "class C:\n    def g(self):\n        return self.g()\n"
+        "    def __init__(self):\n        super().__init__()\n"
+        "def h():\n    return f(0)\n"
+    )
+    assert _self_calls(tree) == ["f", "g"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # the searches keep their own stack, so their depth is bounded by the
+    # budgets alone and never by the interpreter's recursion limit
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = _self_calls(tree)
+    assert not names, f"{path.name} has functions that call themselves: {names}"
+
+
 LAYERS = [
     "zn_core",
     "st_family",

@@ -7,7 +7,8 @@ against the searches over every set they replaced, their dilation classes
 against the per-member canonical form, and the S_T equivalence sweep
 against the per-window loop it replaced.  The catalog search, which
 loops at each node over the orbits that can still join, is checked
-against the skip/take recursion it replaced.
+against the skip/take recursion it replaced, and the maximum-sum-free
+loop, leaf by leaf and in order, against the recursion it replaced.
 """
 
 import sys
@@ -15,25 +16,22 @@ import sys
 import pytest
 
 from oracles import (
+    _max_sum_free_extend,
     brute_special,
     catalog_all_orbits,
     classes_per_member,
     equivalence_per_window,
     max_sum_free_from_empty,
     scsf_skip_take,
+    special_unpruned,
     theorem_valid_pairs,
 )
-from sumfree import errors, search_oracle
+from sumfree import search_oracle
 from sumfree._primes import is_prime
-from sumfree.errors import (
-    STACK_HEADROOM,
-    BudgetExceededError,
-    DepthLimitError,
-    DomainError,
-    ParameterError,
-)
+from sumfree.errors import BudgetExceededError, DomainError, ParameterError
 from sumfree.search_oracle import (
     _catalog_searches,
+    _max_sum_free_leaves,
     _pair_orbits,
     _scsf_search,
     _scsf_shard,
@@ -334,11 +332,7 @@ def test_max_sum_free_rejects_bad_p():
         exhaustive_max_sum_free(47)
 
 
-# --- recursion depth ---
-
-
-def _depth_limit():
-    return sys.getrecursionlimit() - STACK_HEADROOM
+# --- depth ---
 
 
 def _middle_orbits(n):
@@ -346,42 +340,65 @@ def _middle_orbits(n):
     return [o for o in _pair_orbits(n) if 3 * ((o & -o).bit_length() - 1) > n]
 
 
-def test_deepest_admitted_catalog_search_runs():
-    # a search takes one frame per orbit taken; at n = 6m + 2 the m + 1
-    # middle orbits form the complete set [2m + 1, 4m + 1], and with the
-    # size filter at its size the search takes every orbit in turn
-    m = _depth_limit() - 2
+def test_catalog_search_takes_a_chain_of_every_orbit():
+    # at n = 6m + 2 the m + 1 middle orbits form the complete set
+    # [2m + 1, 4m + 1], and with the size filter at its size the search
+    # takes every orbit in turn: 2001 deep, past the default recursion limit
+    m = 2000
     n = 6 * m + 2
     orbits = _middle_orbits(n)
-    assert len(orbits) + 1 == _depth_limit()
+    assert len(orbits) == m + 1
     middle = sum(orbits)
     assert middle == ((1 << (2 * m + 1)) - 1) << (2 * m + 1)
-    # unsharded, the chain is one frame per orbit and one for its root
     assert _scsf_shard(n, orbits, 0, 0, 0, middle.bit_count()) == [middle]
     assert _scsf_search(n, [(orbits, 0)], middle.bit_count(), 1) == [middle]
-    n += 6
-    orbits = _middle_orbits(n)
-    with pytest.raises(DepthLimitError) as exc:
-        _scsf_search(n, [(orbits, 0)], sum(orbits).bit_count(), 1)
-    assert (exc.value.depth, exc.value.limit) == (_depth_limit() + 1, _depth_limit())
 
 
-def test_searches_refuse_depths_past_the_limit(monkeypatch):
-    # keep back all but 10 frames, so that each refused call below would
-    # run in milliseconds if the check were missing; the budgets admit them
-    monkeypatch.setattr(errors, "STACK_HEADROOM", sys.getrecursionlimit() - 10)
-    # one frame per window position and one for the leaf
-    with pytest.raises(DepthLimitError, match="recurses 11 levels deep"):
-        enumerate_special(5)
-    enumerate_special(4)
-    # {1, n - 1} starts the deeper sub-search, over the other n/2 - 1 orbits
-    with pytest.raises(DepthLimitError, match="recurses 11 levels deep"):
-        exhaustive_scsf(22)
-    exhaustive_scsf(20)
-    # a sum-free set in Z_p has at most (p + 1) / 3 members
-    with pytest.raises(DepthLimitError, match="recurses 11 levels deep"):
-        exhaustive_max_sum_free(29)
-    exhaustive_max_sum_free(23)
+def _recursion_depth():
+    """The interpreter's recursion depth at the caller: the limit less the
+    calls that still fit, counted by recursing until the limit stops it.
+    C calls under the caller count too, so frames alone fall short."""
+
+    def probe(calls):
+        try:
+            return probe(calls + 1)
+        except RecursionError:
+            return calls
+
+    return sys.getrecursionlimit() - probe(0)
+
+
+def test_searches_run_within_a_few_frames():
+    # the loops need 6 calls of headroom here; the recursive searches they
+    # replaced took 14 to 28 frames, one per window position, per member or
+    # per orbit taken
+    expected = (
+        special_unpruned(12),
+        catalog_all_orbits(44),
+        max_sum_free_from_empty(43),
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 10)
+    try:
+        got = (
+            enumerate_special(12),
+            exhaustive_scsf(44),
+            exhaustive_max_sum_free(43),
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+
+
+def test_max_sum_free_leaves_come_in_the_recursion_order():
+    # the best-size prune depends on the order in which leaves are found,
+    # so the same leaves in the same order pin both the order and the prune
+    for p in (q for q in range(3, 60) if is_prime(q)):
+        inv2 = pow(2, -1, p)
+        allowed = ((1 << p) - 1) & ~0b111 & ~(1 << inv2)
+        expected = []
+        _max_sum_free_extend(p, inv2, 0b10, 1 << (p - 1), 1, allowed, [0], expected)
+        assert _max_sum_free_leaves(p) == expected, p
 
 
 # --- characterization probes ---
