@@ -92,21 +92,12 @@ def run_sharded(fn: Callable, shards: Sequence[Tuple], workers: int) -> List:
     size = _pool_size(workers, len(shards))
     if size <= 1:
         return [fn(*args) for args in shards]
+    # map's result iterator cancels the queued shards when one raises
+    columns = list(zip(*shards))
     try:
-        return _run_on_pool(fn, shards, size)
+        return list(_shared_pool(size).map(fn, *columns))
     except BrokenProcessPool:
         # the pool lost a worker; shards are pure functions of their
         # arguments, so they run once more on a new pool
         shutdown_pool()
-        return _run_on_pool(fn, shards, size)
-
-
-def _run_on_pool(fn: Callable, shards: Sequence[Tuple], size: int) -> List:
-    futures = []
-    try:
-        futures = [_shared_pool(size).submit(fn, *args) for args in shards]
-        return [f.result() for f in futures]
-    finally:
-        # a shard that raised leaves the others queued on the shared pool
-        for f in futures:
-            f.cancel()
+        return list(_shared_pool(size).map(fn, *columns))

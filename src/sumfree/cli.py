@@ -273,14 +273,10 @@ def _cmd_search_probe(args: argparse.Namespace) -> CommandEnvelope:
     )
     predicted = None
     if report.predicted is not None:
-        predicted = {
-            "r": report.predicted.r,
-            "g": report.predicted.g,
-            "size": report.predicted.size,
-            "count": report.predicted.count,
-            "asymptotic_claim": report.predicted.asymptotic_claim,
-            "vacuous": report.predicted.vacuous,
-        }
+        # p and t head the payload, and the probe never printed k
+        predicted = asdict(report.predicted)
+        for key in ("p", "k", "t"):
+            del predicted[key]
     payload = {
         "p": report.p,
         "s": report.s,

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and how their messages
-print counts."""
+"""Exception types shared across the package, and the one budget gate
+every projected-count refusal goes through."""
 
 from __future__ import annotations
+
+from typing import Optional
 
 
 class SumfreeError(Exception):
@@ -13,7 +15,7 @@ class ModulusMismatchError(SumfreeError):
 
 
 class IntervalCoversGroupError(SumfreeError):
-    """An interval of length >= n was requested; use the full-set constructor."""
+    """An interval of length >= n was requested; it would cover all of Z_n."""
 
 
 class NotAUnitError(SumfreeError):
@@ -42,7 +44,7 @@ class BudgetExceededError(SumfreeError):
         self.limit = limit
 
 
-def count_text(count: int) -> str:
+def _count_text(count: int) -> str:
     """count in decimal, or as a power of two when Python refuses that many
     digits (4300 by default): budget refusals name counts of any size."""
     try:
@@ -52,3 +54,17 @@ def count_text(count: int) -> str:
         if count == 1 << exponent:
             return f"2**{exponent}"
         return f"more than 2**{exponent}"
+
+
+def require_budget(
+    work: str, unit: str, cost: int, budget: Optional[int], default: int
+) -> None:
+    """Refuse cost projected units of work past budget, default when None,
+    with the message "{work} {cost} {unit}, budget is {limit}"."""
+    limit = default if budget is None else budget
+    if cost > limit:
+        raise BudgetExceededError(
+            f"{work} {_count_text(cost)} {unit}, budget is {_count_text(limit)}",
+            required=cost,
+            limit=limit,
+        )

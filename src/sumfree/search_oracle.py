@@ -25,9 +25,14 @@ from .errors import (
     ConstructionError,
     DomainError,
     ParameterError,
-    count_text,
+    require_budget,
 )
-from .special_sets import PredictedCount, _predicted_count, enumerate_special
+from .special_sets import (
+    PredictedCount,
+    _predicted_count,
+    _special_dfs,
+    enumerate_special,
+)
 from .st_family import STParameters, _st_bits, build_st
 from .zn_core import CyclicSet, _sumset_bits, classify, interval, units
 
@@ -46,7 +51,7 @@ __all__ = [
     "DEFAULT_EQUIV_BUDGET",
 ]
 
-# 2^(n//2) symmetric candidates: n <= 44 by default
+# 2^(n//2) symmetric candidates: n <= 45 by default
 DEFAULT_SCSF_BUDGET = 1 << 22
 DEFAULT_MAX_PRIME = 43
 # 4**t windows; the default admits t <= 12
@@ -277,15 +282,13 @@ def exhaustive_scsf(
         raise DomainError(f"modulus must be positive, got {n}")
     if size_filter is not None and size_filter < 0:
         raise ParameterError(f"size filter must be >= 0, got {size_filter}")
-    cost = 1 << (n // 2)
-    limit = DEFAULT_SCSF_BUDGET if budget is None else budget
-    if cost > limit:
-        raise BudgetExceededError(
-            f"exhaustive search at n = {n} means {count_text(cost)} symmetric "
-            f"candidates, budget is {count_text(limit)}",
-            required=cost,
-            limit=limit,
-        )
+    require_budget(
+        f"exhaustive search at n = {n} means",
+        "symmetric candidates",
+        1 << (n // 2),
+        budget,
+        DEFAULT_SCSF_BUDGET,
+    )
     leaves = _scsf_search(n, _catalog_searches(n), size_filter, workers)
     members, classes = _expand_orbits(n, leaves)
     for member in members:
@@ -432,11 +435,8 @@ def characterization_probe(
         if definition_valid:
             for T in specials.sets:
                 construction_bits |= _dilation_orbit(build_st(params, T).bits, p)
-        # the size class whose window is this t reuses the enumeration above
-        if p % 3 == 1 and t % 3 == 1 and t >= 4:
-            predicted = _predicted_count(p, (t - 1) // 3, specials)
-        elif p % 3 == 2 and t % 3 == 0:
-            predicted = _predicted_count(p, t // 3, specials)
+        # the size class whose window is this t, if any, reuses the enumeration above
+        predicted = _predicted_count(p, specials)
 
     matched = catalog_bits & construction_bits
     catalog_only = tuple(
@@ -499,14 +499,14 @@ def verify_st_equivalence(
     """Check, for every window T, that T is t-special iff S_T is valid.
 
     Requires the proven range (theorem-valid).  Two exhaustive searches
-    decide all 4**t windows: ``enumerate_special`` finds the t-special T,
-    and the catalog search over the 2t window orbits {s + x, n - s - x},
-    from the central interval with size filter s, finds every T whose S_T
-    is complete and sum-free.  Each cuts a branch only when no superset
-    can pass (2t - 1 in T + T + T; S_T meets S_T + S_T; |T| > t), so
-    neither takes its verdict from the theorem under test.  The budget
-    counts the 4**t windows and is refused up front.  ``workers`` shards
-    the catalog search; the window search runs in this process.
+    decide all 4**t windows: ``_special_dfs`` finds the t-special T, and
+    the catalog search over the 2t window orbits {s + x, n - s - x}, from
+    the central interval with size filter s, finds every T whose S_T is
+    complete and sum-free.  Each cuts a branch only when no superset can
+    pass (2t - 1 in T + T + T; S_T meets S_T + S_T; |T| > t), so neither
+    takes its verdict from the theorem under test.  The budget counts the
+    4**t windows and is refused up front.  ``workers`` shards the catalog
+    search; the window search runs in this process.
     """
     require_workers(workers)
     params = STParameters(n, s)
@@ -517,17 +517,10 @@ def verify_st_equivalence(
     params.require_definition_valid()
     t = params.t
     total = 1 << (2 * t)
-    limit = DEFAULT_EQUIV_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceededError(
-            f"equivalence sweep needs {count_text(total)} candidates, "
-            f"budget is {count_text(limit)}",
-            required=total,
-            limit=limit,
-        )
-    # C(2t, t) <= 4**t <= limit, so the enumeration never refuses
-    specials = enumerate_special(t, budget=limit)
-    special = {T.mask for T in specials.sets}
+    require_budget(
+        "equivalence sweep needs", "candidates", total, budget, DEFAULT_EQUIV_BUDGET
+    )
+    special = set(_special_dfs(t))
     # s + T sits in bits s .. s + 2t - 1 of S_T
     valid = {
         bits >> s & (total - 1)
@@ -539,6 +532,6 @@ def verify_st_equivalence(
         s=s,
         t=t,
         candidates=total,
-        special_count=specials.g,
+        special_count=len(special),
         counterexamples=tuple(counterexamples),
     )

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ._bits import mirror
 from ._primes import is_prime
-from .errors import BudgetExceededError, DomainError, ParameterError, count_text
+from .errors import DomainError, ParameterError, require_budget
 from .st_family import TCandidate, _is_special_mask
 
 __all__ = [
@@ -125,15 +125,13 @@ def enumerate_special(t: int, *, budget: Optional[int] = None) -> SpecialEnumera
     """
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
-    cost = comb(2 * t, t)
-    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if cost > limit:
-        raise BudgetExceededError(
-            f"enumeration for t = {t} needs {count_text(cost)} candidates, "
-            f"budget is {count_text(limit)}",
-            required=cost,
-            limit=limit,
-        )
+    require_budget(
+        f"enumeration for t = {t} needs",
+        "candidates",
+        comb(2 * t, t),
+        budget,
+        DEFAULT_ENUM_BUDGET,
+    )
     masks = _special_dfs(t)
     return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in sorted(masks)))
 
@@ -213,23 +211,27 @@ def predicted_scsf_count(
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
     t = 3 * r + 1 if p % 3 == 1 else 3 * r
-    return _predicted_count(p, r, enumerate_special(t, budget=budget))
+    return _predicted_count(p, enumerate_special(t, budget=budget))
 
 
-def _predicted_count(p: int, r: int, specials: SpecialEnumeration) -> PredictedCount:
-    """The counting formula for a checked (p, r), from the windows of its t."""
-    if p % 3 == 1:
-        k = (p - 1) // 3
+def _predicted_count(p: int, specials: SpecialEnumeration) -> Optional[PredictedCount]:
+    """The counting formula at p for the size class whose window is
+    specials.t, or None when that t is the window of no size class of p."""
+    t = specials.t
+    # p = 3k + 1 has its windows at t = 3r + 1, p = 3k + 2 at t = 3r
+    k, r = p // 3, t // 3
+    if p % 3 == 1 and t % 3 == 1 and r >= 1:
         size = k - 2 * r
-    else:
-        k = (p - 2) // 3
+    elif p % 3 == 2 and t % 3 == 0:
         size = k - 2 * r + 1
+    else:
+        return None
     g = specials.g
     return PredictedCount(
         p=p,
         r=r,
         k=k,
-        t=specials.t,
+        t=t,
         g=g,
         size=size,
         count=(p - 1) // 2 * g,

@@ -21,7 +21,7 @@ import sumfree
 from oracles import first_difference, rendered_as_lists
 from sumfree import cli, search_oracle
 from sumfree.cli import CommandEnvelope, build_parser, dispatch, main
-from sumfree.special_sets import SpecialEnumeration, enumerate_special
+from sumfree.special_sets import enumerate_special
 from sumfree.zn_core import CyclicSet, classify, set_from_json
 
 
@@ -136,10 +136,11 @@ def test_st_equiv_green(capsys):
 def test_st_equiv_counterexample_exits_one(capsys, monkeypatch):
     # a T side that misses one special window must surface on stdout
     missed = enumerate_special(4).sets[0]
+    honest = search_oracle._special_dfs
     monkeypatch.setattr(
         search_oracle,
-        "enumerate_special",
-        lambda t, **kwargs: SpecialEnumeration(t, enumerate_special(t).sets[1:]),
+        "_special_dfs",
+        lambda t: [mask for mask in honest(t) if mask != missed.mask],
     )
     code, out, _ = run(capsys, "st", "equiv", "--n", "61", "--s", "18")
     assert code == 1

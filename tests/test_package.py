@@ -105,6 +105,17 @@ def test_pool_that_lost_a_worker_is_replaced(monkeypatch, pool_starts):
     assert pool_starts == [2, 2]
 
 
+def test_a_shard_that_raises_leaves_the_pool_serving(monkeypatch, pool_starts):
+    monkeypatch.setattr(_parallel, "_pool_size", lambda workers, shards: workers)
+    # pow(0, -1) raises in its worker; the call re-raises it in the caller
+    shards = [(2, k) for k in range(4)] + [(0, -1)] + [(2, k) for k in range(60)]
+    with pytest.raises(ZeroDivisionError):
+        run_sharded(pow, shards, 2)
+    shards = [(3, k) for k in range(8)]
+    assert run_sharded(pow, shards, 2) == [pow(*args) for args in shards]
+    assert pool_starts == [2]
+
+
 @pytest.mark.parametrize(
     "total", [1, 2, 63, 64, 65, 200, 4097, 64 * 4096 + 1, 4**12, 10**9 + 7]
 )

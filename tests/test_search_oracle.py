@@ -41,11 +41,7 @@ from sumfree.search_oracle import (
     exhaustive_scsf,
     verify_st_equivalence,
 )
-from sumfree.special_sets import (
-    SpecialEnumeration,
-    enumerate_special,
-    predicted_scsf_count,
-)
+from sumfree.special_sets import enumerate_special, predicted_scsf_count
 from sumfree.zn_core import (
     CyclicSet,
     classify,
@@ -243,13 +239,10 @@ def test_equivalence_matches_per_window_oracle():
 
 
 def _drop_window_from_specials(monkeypatch, mask):
-    honest = search_oracle.enumerate_special
-
-    def lossy(t, **kwargs):
-        found = honest(t, **kwargs)
-        return SpecialEnumeration(t, tuple(T for T in found.sets if T.mask != mask))
-
-    monkeypatch.setattr(search_oracle, "enumerate_special", lossy)
+    honest = search_oracle._special_dfs
+    monkeypatch.setattr(
+        search_oracle, "_special_dfs", lambda t: [m for m in honest(t) if m != mask]
+    )
 
 
 def _drop_window_from_group_side(monkeypatch, mask):
@@ -446,6 +439,31 @@ def test_probe_prediction_is_predicted_scsf_count(p, s):
     if report.predicted is not None:
         assert report.predicted.t == report.t
         assert report.predicted == predicted_scsf_count(p, report.predicted.r)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)])
+def test_probe_predicts_exactly_on_the_size_class_windows(p):
+    # p = 3k + 1 has the windows t = 3r + 1 and p = 3k + 2 the windows
+    # t = 3r, r >= 1; 2**30 admits every catalog here and the windows up
+    # to t = 16, and a probe that it refuses is skipped
+    budget = 1 << 30
+    predictions = 0
+    for s in range(1, p + 1):
+        try:
+            report = characterization_probe(p, s, budget=budget)
+        except BudgetExceededError:
+            continue
+        t = report.t
+        if t is not None and p % 3 == 1 and t % 3 == 1 and t >= 4:
+            r = (t - 1) // 3
+        elif t is not None and p % 3 == 2 and t % 3 == 0:
+            r = t // 3
+        else:
+            assert report.predicted is None
+            continue
+        assert report.predicted == predicted_scsf_count(p, r, budget=budget)
+        predictions += 1
+    assert predictions > 0 or p < 13
 
 
 def test_probe_no_window():
