@@ -2,7 +2,10 @@
 
 Each job has one implementation here: listing set bits, writing them as
 decimal text, packing indices, mirroring a mask within a width, and
-rotating an n-bit mask.
+rotating an n-bit mask.  Set bits are listed by one rule on the mask's
+length: a Python byte walk up to _WALK_MAX_BYTES bytes, numpy beyond, and
+the decimal text always takes its indices from numpy.  No other module
+turns a mask into bytes or back.
 """
 
 from __future__ import annotations
@@ -15,37 +18,32 @@ _BYTE_POSITIONS = tuple(
 
 _BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-# every nonzero byte becomes 1, so bytes.find(1) jumps over runs of zero bytes
-_BYTE_NONZERO = bytes([0] + [1] * 255)
-
 _ZERO = ord("0")
 
-# masks of more bytes than this, with fewer set bits than bytes / 4, take
-# the zero-skipping path; random masks at the catalog sizes never do
-_SPARSE_MIN_BYTES = 64
+# masks of more bytes than this list their bits through numpy; shorter
+# ones, such as every search mask, are walked in Python, where numpy's
+# per-call cost would dominate
+_WALK_MAX_BYTES = 64
+
+
+def _positions_array(bits: int) -> np.ndarray:
+    """Indices of set bits, ascending, as a numpy integer array."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool))
 
 
 def bit_positions(bits: int) -> list[int]:
-    """Indices of set bits, ascending.
+    """Indices of set bits, ascending, as Python ints.
 
-    A dense mask is walked byte by byte.  A sparse one (the edge mask of a
-    set made of few long runs) finds its nonzero bytes with bytes.find,
-    which skips runs of zero bytes in C, so its cost is the mask's length
-    in C plus its set bits in Python.
+    A mask of at most _WALK_MAX_BYTES bytes is walked byte by byte in
+    Python; a longer one is unpacked by numpy, whose cost is the mask's
+    length plus one Python int per set bit.
     """
-    out: list[int] = []
     nbytes = (bits.bit_length() + 7) >> 3
-    raw = bits.to_bytes(nbytes, "little")
-    if nbytes > _SPARSE_MIN_BYTES and bits.bit_count() < nbytes >> 2:
-        flags = raw.translate(_BYTE_NONZERO)
-        i = flags.find(1)
-        while i >= 0:
-            base = i << 3
-            for j in _BYTE_POSITIONS[raw[i]]:
-                out.append(base + j)
-            i = flags.find(1, i + 1)
-        return out
-    for i, byte in enumerate(raw):
+    if nbytes > _WALK_MAX_BYTES:
+        return _positions_array(bits).tolist()
+    out: list[int] = []
+    for i, byte in enumerate(bits.to_bytes(nbytes, "little")):
         if byte:
             base = i << 3
             for j in _BYTE_POSITIONS[byte]:
@@ -62,10 +60,9 @@ def positions_text(bits: int, sep: str = ",") -> str:
     one uint8 matrix of w digit columns plus the separator's columns, and
     the matrices' bytes are the text.
     """
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), np.uint8)
     # uint32 division by a constant is several times faster than int64's
     dtype = np.uint32 if bits.bit_length() <= 1 << 32 else np.uint64
-    positions = np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool)).astype(dtype)
+    positions = _positions_array(bits).astype(dtype)
     tail = np.frombuffer(sep.encode("ascii"), np.uint8)
     chunks = []
     lo = 0

@@ -17,12 +17,12 @@ fit in fewer words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.random import Philox
 
-from ._bits import rotate
+from ._bits import bit_positions, rotate
 from ._parallel import require_workers, run_sharded, shard_ranges
 from ._primes import is_prime
 from .errors import ConstructionError, DomainError, ParameterError
@@ -63,25 +63,25 @@ class CayleyGraph:
     def n(self) -> int:
         return self.generators.modulus
 
-    def _row(self, u: int) -> int:
-        return rotate(self.generators.bits, u, self.n)
-
-    def edges(self) -> List[Tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self._row(u) >> u + 1 << u + 1
-            while row:
-                low = row & -row
-                out.append((u, low.bit_length() - 1))
-                row ^= low
-        return out
+    def _rows_above(self) -> Iterator[Tuple[int, List[int]]]:
+        """Each vertex u with its neighbours v > u, ascending; the row of u
+        is S rotated by u, cut below u + 1."""
+        S, n = self.generators.bits, self.n
+        for u in range(n):
+            yield u, bit_positions(rotate(S, u, n) >> u + 1 << u + 1)
 
     def to_edge_list(self) -> str:
-        return "\n".join(f"{u} {v}" for u, v in self.edges())
+        return "\n".join(
+            f"{u} " + f"\n{u} ".join(map(str, above))
+            for u, above in self._rows_above() if above
+        )
 
     def to_dot(self) -> str:
         lines = [f"graph cayley_{self.n} {{"]
-        lines.extend(f"  {u} -- {v};" for u, v in self.edges())
+        lines.extend(
+            f"  {u} -- " + f";\n  {u} -- ".join(map(str, above)) + ";"
+            for u, above in self._rows_above() if above
+        )
         lines.append("}")
         return "\n".join(lines)
 

@@ -81,17 +81,20 @@ def _splice_sets(text: str, masks: List[int], pretty: bool) -> str:
 
 @dataclass
 class CommandEnvelope:
-    """What one invocation produced, before rendering."""
+    """What one invocation produced, before rendering.
+
+    A str payload (DOT or edge-list text) is printed as it is; any other
+    payload is a dict, rendered as JSON.
+    """
 
     payload: object
     diagnostics: Dict[str, object] = field(default_factory=dict)
     exit_status: int = 0
-    text: bool = False
     pretty: bool = False
 
     def rendered(self) -> str:
-        if self.text:
-            return str(self.payload)
+        if isinstance(self.payload, str):
+            return self.payload
         masks: List[int] = []
 
         def members(obj):
@@ -306,9 +309,9 @@ def _cmd_cayley(args: argparse.Namespace) -> CommandEnvelope:
     S = _load_set(args.n, args.set, args.set_file)
     graph = cayley_graph(S)
     if args.format == "dot":
-        return CommandEnvelope(graph.to_dot(), text=True)
+        return CommandEnvelope(graph.to_dot())
     if args.format == "edges":
-        return CommandEnvelope(graph.to_edge_list(), text=True)
+        return CommandEnvelope(graph.to_edge_list())
     props = graph_properties(graph)
     # the diameter is always exact; "diameter_sampled" stays so the payload
     # bytes pinned by tests/test_cli.py and perfbench/golden.json hold

@@ -105,11 +105,8 @@ class TCandidate:
 def _self_sumset_mask(mask: int) -> int:
     """T + T over the integers (repetition allowed), as a bit mask."""
     acc = 0
-    m = mask
-    while m:
-        lsb = m & -m
-        acc |= mask << (lsb.bit_length() - 1)
-        m ^= lsb
+    for x in bit_positions(mask):
+        acc |= mask << x
     return acc
 
 

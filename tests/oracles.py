@@ -29,6 +29,9 @@ before it ran 64 trials per machine word.
 ``rendered_as_lists`` renders a CLI payload with every set as a json
 list of its members, as the CLI did before it wrote large sets as text
 from their bit masks; ``first_difference`` compares such texts.
+``cayley_edges`` lists the edges of a Cayley graph by a lowest-bit walk
+of each row, as the library did before its exports listed each row's
+bits in ``_bits``.
 """
 
 import json
@@ -121,6 +124,18 @@ def first_difference(got: str, expected: str) -> Optional[int]:
         return None
     pairs = enumerate(zip(got, expected))
     return next((i for i, (a, b) in pairs if a != b), min(len(got), len(expected)))
+
+
+def cayley_edges(graph) -> List[Tuple[int, int]]:
+    """The edges (u, v), u < v, of a CayleyGraph, ascending."""
+    out = []
+    for u in range(graph.n):
+        row = rotate(graph.generators.bits, u, graph.n) >> u + 1 << u + 1
+        while row:
+            low = row & -row
+            out.append((u, low.bit_length() - 1))
+            row ^= low
+    return out
 
 
 def brute_special(t: int) -> SpecialEnumeration:

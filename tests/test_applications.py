@@ -21,23 +21,27 @@ from sumfree.applications import (
     simulate_random_sumfree,
 )
 from sumfree.errors import DomainError, ParameterError
-from sumfree.interval_ap_family import IntervalAPParameters, build_small
+from sumfree.interval_ap_family import IntervalAPParameters, build_small, size_ladder
 from sumfree.search_oracle import exhaustive_scsf
 from sumfree.st_family import STParameters, TCandidate, build_st
 from sumfree.zn_core import CyclicSet
 
-from oracles import _run_trial, _run_trial_block
+from oracles import _run_trial, _run_trial_block, cayley_edges
 
 
 def mk(n, elements):
     return CyclicSet.from_elements(n, elements)
 
 
+def edge_pairs(graph):
+    """The (u, v) pairs of graph.to_edge_list(), in its order."""
+    return [tuple(map(int, line.split())) for line in graph.to_edge_list().splitlines()]
+
+
 def neighbors(graph, u):
     """Neighbours of vertex u, read off the edge list."""
-    return sorted(
-        {v for a, v in graph.edges() if a == u} | {a for a, v in graph.edges() if v == u}
-    )
+    edges = edge_pairs(graph)
+    return sorted({v for a, v in edges if a == u} | {a for a, v in edges if v == u})
 
 
 # --- Cayley graphs ---
@@ -91,8 +95,9 @@ def test_cayley_graph_direct_construction_checks_generators():
 
 def test_cayley_edge_count():
     graph = cayley_graph(mk(8, [3, 4, 5]))
-    assert len(graph.edges()) == 8 * 3 // 2
-    assert all(u < v for u, v in graph.edges())
+    edges = edge_pairs(graph)
+    assert len(edges) == 8 * 3 // 2
+    assert all(u < v for u, v in edges)
 
 
 def test_dot_export_c5():
@@ -107,6 +112,31 @@ def test_dot_export_c5():
         "}"
     )
     assert graph.to_edge_list() == "0 2\n0 3\n1 3\n1 4\n2 4"
+
+
+def _symmetric_sets(n):
+    """Every symmetric 0-free subset of Z_n: each is a union of pairs {x, -x}."""
+    pairs = [CyclicSet.from_elements(n, [x, -x]).bits for x in range(1, n // 2 + 1)]
+    for choice in range(1 << len(pairs)):
+        bits = 0
+        for i, pair in enumerate(pairs):
+            if choice >> i & 1:
+                bits |= pair
+        yield CyclicSet(n, bits)
+
+
+def test_exports_match_the_edge_oracle():
+    # the empty set of each n gives the edgeless graph
+    graphs = [cayley_graph(S) for n in range(1, 15) for S in _symmetric_sets(n)]
+    # a rung in the band of the benchmark's edge-list request
+    rung = cayley_graph(build_small(size_ladder(749).rungs[0], checked=False))
+    assert len(cayley_edges(rung)) == 64414
+    for graph in graphs + [rung]:
+        edges = cayley_edges(graph)
+        assert graph.to_edge_list() == "\n".join(f"{u} {v}" for u, v in edges)
+        assert graph.to_dot() == "\n".join(
+            [f"graph cayley_{graph.n} {{"] + [f"  {u} -- {v};" for u, v in edges] + ["}"]
+        )
 
 
 def test_catalog_members_give_triangle_free_diameter_two():
@@ -147,14 +177,7 @@ def _all_vertex_properties(S):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_properties_match_all_vertex_oracle(n):
-    # every symmetric 0-free subset of Z_n is a union of pairs {x, -x}
-    pairs = [CyclicSet.from_elements(n, [x, -x]).bits for x in range(1, n // 2 + 1)]
-    for choice in range(1 << len(pairs)):
-        bits = 0
-        for i, pair in enumerate(pairs):
-            if choice >> i & 1:
-                bits |= pair
-        S = CyclicSet(n, bits)
+    for S in _symmetric_sets(n):
         assert graph_properties(cayley_graph(S)) == _all_vertex_properties(S)
 
 
@@ -163,7 +186,7 @@ def test_graph_views_match_definition():
     graph = cayley_graph(S)
     for u in range(13):
         assert neighbors(graph, u) == sorted((u + s) % 13 for s in S)
-    assert graph.edges() == sorted(
+    assert edge_pairs(graph) == sorted(
         (u, v) for u in range(13) for v in range(u + 1, 13) if (v - u) % 13 in S
     )
 

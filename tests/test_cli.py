@@ -535,7 +535,7 @@ def test_dispatch_envelope_fields():
                          "--set", "0,4,5,6"])
     assert envelope.exit_status == 0
     assert "elapsed_s" in envelope.diagnostics
-    assert not envelope.text
+    assert isinstance(envelope.payload, dict)
 
 
 def test_identical_argv_identical_bytes(capsys):

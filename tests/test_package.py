@@ -281,6 +281,33 @@ def test_no_function_calls_itself(path):
     assert not names, f"{path.name} has functions that call themselves: {names}"
 
 
+def _byte_conversions(tree):
+    """Line numbers of the calls to a to_bytes or from_bytes method in tree."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("to_bytes", "from_bytes")
+    )
+
+
+def test_byte_scan_finds_conversions():
+    tree = ast.parse("a = x.to_bytes(2, 'little')\nb = f(a)\nc = int.from_bytes(a, 'big')\n")
+    assert _byte_conversions(tree) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "_bits.py"], ids=lambda p: p.name
+)
+def test_only_bits_turns_masks_into_bytes(path):
+    # _bits lists, packs and mirrors masks; a byte walk anywhere else would
+    # be a second implementation of one of its jobs
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _byte_conversions(tree)
+    assert not lines, f"{path.name} converts ints and bytes at lines {lines}"
+
+
 LAYERS = [
     "zn_core",
     "st_family",

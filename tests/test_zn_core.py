@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from oracles import canonical_dilation_class, first_difference, sumset_per_run
 from sumfree._bits import (
-    _SPARSE_MIN_BYTES,
+    _WALK_MAX_BYTES,
     bit_positions,
     bits_from_positions,
     mirror,
@@ -381,12 +381,12 @@ def naive_positions(bits):
 def _position_masks():
     """Dense, sparse and boundary masks for the two bit_positions paths."""
     rng = random.Random(11)
-    edge = 8 * _SPARSE_MIN_BYTES
+    edge = 8 * _WALK_MAX_BYTES
     masks = [0, 1, 1 << 7, 1 << 8, (1 << 64) - 1]
     for width in (40, 130, 2000, edge - 1, edge, edge + 1, edge + 9, 10**5):
         top = 1 << (width - 1)
         masks += [top, top | 1, rng.getrandbits(width) | top]
-        # fewer set bits than a quarter of the bytes: the zero-skipping path
+        # a few set bits between long runs of zero bytes
         for count in (1, 2, width // 40, width // 32 - 1, width // 32, width // 32 + 1):
             if 1 <= count < width:
                 masks.append(sum(1 << p for p in rng.sample(range(width - 1), count)) | top)
@@ -397,7 +397,10 @@ def _position_masks():
 
 def test_bit_positions_match_the_naive_oracle():
     for bits in _position_masks():
-        assert bit_positions(bits) == naive_positions(bits)
+        positions = bit_positions(bits)
+        assert positions == naive_positions(bits)
+        # json and the big-int shifts of the sumset need int, not numpy.int64
+        assert all(type(p) is int for p in positions)
 
 
 def test_bits_from_positions_inverts_bit_positions():
