@@ -3,136 +3,12 @@
 Constructions, exhaustive ground truth, counting, and the downstream
 applications (Cayley graphs, a three-element dioid quotient, and the
 random sum-free process), all over exact integer bitmask arithmetic.
+
+The package root exports nothing.  Import from the layer modules, each of
+which lists its public names in its own ``__all__``: ``sumfree.errors``,
+``zn_core``, ``st_family``, ``special_sets``, ``interval_ap_family``,
+``search_oracle``, ``applications`` and ``cli``.  README "Layout" says
+what each one holds.
 """
 
-from .applications import (
-    CayleyGraph,
-    GraphProperties,
-    PartitionReport,
-    ProcessConfig,
-    SimulationReport,
-    cayley_graph,
-    dioid_partition,
-    graph_properties,
-    simulate_random_sumfree,
-)
-from .errors import (
-    BudgetExceededError,
-    ConstructionError,
-    DomainError,
-    ParameterError,
-    SumfreeError,
-)
-from .interval_ap_family import (
-    N_MIN,
-    IntervalAPParameters,
-    SizeLadder,
-    build_small,
-    component_sets,
-    density_choice,
-    size_ladder,
-    solve_parameters,
-)
-from .search_oracle import (
-    Catalog,
-    DilationClass,
-    EquivalenceReport,
-    MaxSumFreeCatalog,
-    ProbeReport,
-    characterization_probe,
-    exhaustive_max_sum_free,
-    exhaustive_scsf,
-    verify_st_equivalence,
-)
-from .special_sets import (
-    PredictedCount,
-    SpecialEnumeration,
-    enumerate_special,
-    is_t_special,
-    iter_lower_bound_family,
-    lower_bound_family,
-    predicted_scsf_count,
-)
-from .st_family import (
-    STParameters,
-    TCandidate,
-    build_st,
-    st_completeness_condition,
-    st_sum_free_condition,
-)
-from .zn_core import (
-    CyclicSet,
-    SetProperties,
-    classify,
-    dilate,
-    interval,
-    is_complete,
-    is_sum_free,
-    is_symmetric,
-    negate,
-    set_from_json,
-    set_to_json,
-    sumset,
-    units,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceededError",
-    "Catalog",
-    "CayleyGraph",
-    "ConstructionError",
-    "CyclicSet",
-    "DilationClass",
-    "DomainError",
-    "EquivalenceReport",
-    "GraphProperties",
-    "IntervalAPParameters",
-    "MaxSumFreeCatalog",
-    "N_MIN",
-    "ParameterError",
-    "PartitionReport",
-    "PredictedCount",
-    "ProbeReport",
-    "ProcessConfig",
-    "STParameters",
-    "SetProperties",
-    "SimulationReport",
-    "SizeLadder",
-    "SpecialEnumeration",
-    "SumfreeError",
-    "TCandidate",
-    "build_small",
-    "build_st",
-    "cayley_graph",
-    "characterization_probe",
-    "classify",
-    "component_sets",
-    "density_choice",
-    "dilate",
-    "dioid_partition",
-    "enumerate_special",
-    "exhaustive_max_sum_free",
-    "exhaustive_scsf",
-    "graph_properties",
-    "interval",
-    "is_complete",
-    "is_sum_free",
-    "is_symmetric",
-    "is_t_special",
-    "iter_lower_bound_family",
-    "lower_bound_family",
-    "negate",
-    "predicted_scsf_count",
-    "set_from_json",
-    "set_to_json",
-    "simulate_random_sumfree",
-    "size_ladder",
-    "solve_parameters",
-    "st_completeness_condition",
-    "st_sum_free_condition",
-    "sumset",
-    "units",
-    "verify_st_equivalence",
-]

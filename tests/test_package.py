@@ -1,5 +1,6 @@
 """Package-wide checks: exported names and their callers, worker counts,
-pool sizing and the one shared pool, no asserts, no imports inside functions."""
+pool sizing and the one shared pool, no asserts, the layer order of the
+imports and what each import loads, no imports inside functions."""
 
 import ast
 import importlib
@@ -9,6 +10,8 @@ import os
 import pathlib
 import pkgutil
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -27,11 +30,11 @@ from sumfree.search_oracle import (
 
 MODULES = [
     module
-    for module in [sumfree] + [
+    for module in (
         importlib.import_module(f"sumfree.{info.name}")
         for info in pkgutil.iter_modules(sumfree.__path__)
         if info.name != "__main__"
-    ]
+    )
     if hasattr(module, "__all__")
 ]
 
@@ -235,6 +238,91 @@ def test_no_import_inside_a_function(path):
     assert not lines, f"{path.name} imports inside functions at lines {lines}"
 
 
+# the package's modules, lowest layer first; each imports only modules
+# listed before it, so no import cycle can form between the layers. The
+# root __init__ imports nothing: test_import_loads_only_the_layers_below
+# checks it in a fresh interpreter.
+LAYER_ORDER = [
+    "errors",
+    "_bits",
+    "_primes",
+    "_parallel",
+    "zn_core",
+    "st_family",
+    "special_sets",
+    "interval_ap_family",
+    "search_oracle",
+    "applications",
+    "cli",
+    "__main__",
+]
+
+
+def _upward_imports(name, tree):
+    """The package modules that tree, the source of module name, imports
+    from its own place in LAYER_ORDER or above."""
+    below = LAYER_ORDER[: LAYER_ORDER.index(name)]
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.append(node.module.partition(".")[0])
+            else:
+                imported += [alias.name for alias in node.names]
+    return sorted(module for module in imported if module not in below)
+
+
+def test_layer_scan_finds_an_upward_import():
+    tree = ast.parse(
+        "import os\nfrom .errors import A\nfrom . import cli\n"
+        "if x:\n    from .zn_core import B\nfrom ._primes import C\n"
+    )
+    assert _upward_imports("_primes", tree) == ["_primes", "cli", "zn_core"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_imports_follow_the_layer_order(path):
+    assert path.stem in LAYER_ORDER, f"{path.name} has no place in LAYER_ORDER"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    upward = _upward_imports(path.stem, tree)
+    assert not upward, f"{path.name} imports from layers not below it: {upward}"
+
+
+SRC = str(pathlib.Path(sumfree.__file__).parents[1])
+
+
+def _modules_after(statement):
+    """The names in sys.modules after a fresh interpreter runs statement."""
+    script = f"import sys\n{statement}\nprint(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    return set(proc.stdout.split())
+
+
+# the package modules that importing each module loads: the root
+# re-exports nothing, so a layer brings in only itself and what it imports
+LOADS = {
+    "sumfree": {"sumfree"},
+    "sumfree.zn_core": {"sumfree", "sumfree.zn_core", "sumfree._bits", "sumfree.errors"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LOADS))
+def test_import_loads_only_the_layers_below(module):
+    loaded = _modules_after(f"import {module}")
+    loads = LOADS[module]
+    assert {name for name in loaded if name.partition(".")[0] == "sumfree"} == loads
+    # numpy comes in with _bits, the lowest layer that uses it
+    assert ("numpy" in loaded) == ("sumfree._bits" in loads)
+
+
 def _calls_itself(func):
     """Whether func calls its own name, as f(...), self.f(...) or cls.f(...);
     super().f(...) calls another class's f."""
@@ -308,16 +396,6 @@ def test_only_bits_turns_masks_into_bytes(path):
     assert not lines, f"{path.name} converts ints and bytes at lines {lines}"
 
 
-LAYERS = [
-    "zn_core",
-    "st_family",
-    "special_sets",
-    "interval_ap_family",
-    "search_oracle",
-    "applications",
-    "cli",
-]
-
 # library entry points a user calls directly; the package itself reaches
 # the same predicates through classify and st_family._is_special_mask,
 # the family through lower_bound_family, and dilation through the orbit
@@ -350,15 +428,14 @@ def _names_read(node, enclosing=frozenset()):
 
 
 def _package_references():
-    """Every name read in src/sumfree outside __init__.py.
+    """Every name read in src/sumfree.
 
     __all__ entries are strings and imports are aliases, so neither counts;
     a function or method naming itself (recursion) does not count either.
     """
     used = set()
     for path in SOURCES:
-        if path.name != "__init__.py":
-            used |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+        used |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
     return used
 
 
@@ -380,16 +457,15 @@ def test_every_public_function_has_a_caller():
     # delete it, or move it to tests/oracles.py if the tests still need it
     used = _package_references()
     dead = []
-    for layer in LAYERS:
-        module = importlib.import_module(f"sumfree.{layer}")
+    for module in MODULES:
         for name in module.__all__:
             obj = getattr(module, name)
             if inspect.isfunction(obj):
                 if name not in ENTRY_POINTS and name not in used:
-                    dead.append(f"{layer}.{name}")
+                    dead.append(f"{module.__name__}.{name}")
             elif inspect.isclass(obj) and obj.__module__ == module.__name__:
                 dead += [
-                    f"{layer}.{name}.{method}"
+                    f"{module.__name__}.{name}.{method}"
                     for method in _public_methods(obj)
                     if method not in used
                 ]
