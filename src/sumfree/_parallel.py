@@ -4,17 +4,16 @@ Every sharded entry point cuts its input into at most 2**SHARD_BITS
 shards that depend on the input alone; the worker count only picks how
 many processes run them.  Shards are dispatched in order and results are
 collected in submission order, so parallel runs merge to exactly the
-sequential answer.  The process keeps one pool: it starts on first use,
-serves every later call of the same size, and stops at interpreter exit.
+sequential answer.  A call that runs more than one process starts its
+own pool and shuts it down before it returns, so no worker outlives it.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import ParameterError
 
@@ -54,40 +53,11 @@ def _pool_size(workers: int, shard_count: int) -> int:
     return min(workers, shard_count, cpus)
 
 
-_pool: Optional[ProcessPoolExecutor] = None
-_pool_workers = 0
-
-
-def _shared_pool(size: int) -> ProcessPoolExecutor:
-    """The process's pool of exactly size workers, started on first use.
-
-    A pool of another size is shut down before its replacement starts, so
-    no more processes run than the latest call's _pool_size allows.
-    """
-    global _pool, _pool_workers
-    if _pool is None or _pool_workers != size:
-        shutdown_pool()
-        _pool = ProcessPoolExecutor(max_workers=size)
-        _pool_workers = size
-    return _pool
-
-
-def shutdown_pool() -> None:
-    """Stop the shared pool, if one runs; the next sharded call starts another."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        pool.shutdown()
-
-
-atexit.register(shutdown_pool)
-
-
 def run_sharded(fn: Callable, shards: Sequence[Tuple], workers: int) -> List:
     """fn(*args) for every shard, in order, on at most _pool_size processes.
 
-    One process runs the shards in the caller; more share the process's
-    pool.
+    One process runs the shards in the caller; more run them on a pool of
+    the call's own, shut down before the call returns.
     """
     size = _pool_size(workers, len(shards))
     if size <= 1:
@@ -95,9 +65,10 @@ def run_sharded(fn: Callable, shards: Sequence[Tuple], workers: int) -> List:
     # map's result iterator cancels the queued shards when one raises
     columns = list(zip(*shards))
     try:
-        return list(_shared_pool(size).map(fn, *columns))
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            return list(pool.map(fn, *columns))
     except BrokenProcessPool:
-        # the pool lost a worker; shards are pure functions of their
-        # arguments, so they run once more on a new pool
-        shutdown_pool()
-        return list(_shared_pool(size).map(fn, *columns))
+        # a worker died mid-call; shards are pure functions of their
+        # arguments, so they run once more on a fresh pool
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            return list(pool.map(fn, *columns))

@@ -1,6 +1,8 @@
 """Package-wide checks: exported names and their callers, worker counts,
-pool sizing and the one shared pool, no asserts, the layer order of the
-imports and what each import loads, no imports inside functions."""
+pool sizing and the one pool per call with more than one process, shut
+down before the call returns, no asserts, the layer order of the imports
+and what each import loads, no imports inside functions, and grammar no
+newer than the oldest supported Python."""
 
 import ast
 import importlib
@@ -9,10 +11,9 @@ import multiprocessing
 import os
 import pathlib
 import pkgutil
-import signal
+import re
 import subprocess
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -56,9 +57,18 @@ def test_pool_size_is_capped_by_cpus_and_shards():
     assert _pool_size(0, 5) == 0
 
 
+def test_pool_size_falls_back_to_the_cpu_count(monkeypatch):
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(4, 10) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _pool_size(4, 10) == 3
+
+
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """The pools started during a test, which begins and ends with none running."""
+    """The sizes of the pools started during a test, in order."""
     started = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -66,57 +76,55 @@ def pool_starts(monkeypatch):
             super().__init__(max_workers=max_workers)
             started.append(max_workers)
 
-    _parallel.shutdown_pool()
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountingPool)
-    yield started
-    _parallel.shutdown_pool()
+    return started
 
 
-def test_sharded_calls_share_one_pool(pool_starts):
-    first = exhaustive_scsf(30, workers=3)
-    second = exhaustive_scsf(30, workers=3)
-    assert first == second == exhaustive_scsf(30)
-    # no pool at all on a single CPU
-    size = _pool_size(3, 64)
-    assert pool_starts == ([size] if size > 1 else [])
-
-
-def test_pool_is_replaced_when_its_size_changes(monkeypatch, pool_starts):
+def test_each_sharded_call_stops_its_own_pool(monkeypatch, pool_starts):
     # sizes past the CPU count, so that 2 and 3 differ on any machine
     monkeypatch.setattr(_parallel, "_pool_size", lambda workers, shards: workers)
     shards = [(2, k) for k in range(8)]
     expected = [pow(*args) for args in shards]
-    for workers in (2, 2, 3, 3, 2):
+    sizes = [2, 2, 3, 3, 2]
+    for calls, workers in enumerate(sizes, 1):
         assert run_sharded(pow, shards, workers) == expected
-        # the old pool is shut down before the new one starts
-        assert len(multiprocessing.active_children()) <= workers
-    assert pool_starts == [2, 3, 2]
+        assert pool_starts == sizes[:calls]
+        # no worker outlives the call that started it
+        assert not multiprocessing.active_children()
 
 
-def test_pool_that_lost_a_worker_is_replaced(monkeypatch, pool_starts):
+def _pow_after_one_lost_worker(marker, base, exp):
+    """pow(base, exp), but the first shard to create marker kills its worker."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return pow(base, exp)
+    os._exit(1)
+
+
+def test_a_worker_lost_mid_call_is_retried_on_a_fresh_pool(
+    monkeypatch, pool_starts, tmp_path
+):
     monkeypatch.setattr(_parallel, "_pool_size", lambda workers, shards: workers)
-    shards = [(3, k) for k in range(8)]
-    expected = [pow(*args) for args in shards]
-    assert run_sharded(pow, shards, 2) == expected
-    victim = multiprocessing.active_children()[0]
-    os.kill(victim.pid, signal.SIGKILL)
-    # the pool marks itself broken, then stops its other worker
-    deadline = time.monotonic() + 30
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert run_sharded(pow, shards, 2) == expected
+    marker = str(tmp_path / "lost")
+    shards = [(marker, 3, k) for k in range(8)]
+    assert run_sharded(_pow_after_one_lost_worker, shards, 2) == [
+        pow(3, k) for k in range(8)
+    ]
     assert pool_starts == [2, 2]
+    assert not multiprocessing.active_children()
 
 
-def test_a_shard_that_raises_leaves_the_pool_serving(monkeypatch, pool_starts):
+def test_a_shard_that_raises_stops_its_pool(monkeypatch, pool_starts):
     monkeypatch.setattr(_parallel, "_pool_size", lambda workers, shards: workers)
     # pow(0, -1) raises in its worker; the call re-raises it in the caller
     shards = [(2, k) for k in range(4)] + [(0, -1)] + [(2, k) for k in range(60)]
     with pytest.raises(ZeroDivisionError):
         run_sharded(pow, shards, 2)
+    assert not multiprocessing.active_children()
     shards = [(3, k) for k in range(8)]
     assert run_sharded(pow, shards, 2) == [pow(*args) for args in shards]
-    assert pool_starts == [2]
+    assert pool_starts == [2, 2]
 
 
 @pytest.mark.parametrize(
@@ -470,3 +478,33 @@ def test_every_public_function_has_a_caller():
                     if method not in used
                 ]
     assert not dead, f"public functions with no caller in the package: {dead}"
+
+
+# the oldest Python that pyproject.toml declares; CI runs the suite on it
+MINIMUM_PYTHON = (3, 10)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYTHON_SOURCES = sorted(
+    path
+    for directory in ("src/sumfree", "tests", "perfbench")
+    for path in (ROOT / directory).rglob("*.py")
+)
+
+
+def test_pyproject_declares_the_minimum_python():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    assert found, "pyproject.toml has no requires-python >= X.Y"
+    assert tuple(map(int, found.groups())) == MINIMUM_PYTHON
+
+
+@pytest.mark.parametrize(
+    "path", PYTHON_SOURCES, ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_source_parses_on_the_minimum_python(path):
+    # a grammar feature newer than the minimum, such as `except*` on 3.10,
+    # is a syntax error there
+    ast.parse(
+        path.read_text(encoding="utf-8"),
+        filename=str(path),
+        feature_version=MINIMUM_PYTHON,
+    )
