@@ -80,8 +80,21 @@ def pool_starts(monkeypatch):
     return started
 
 
-def test_each_sharded_call_stops_its_own_pool(monkeypatch, pool_starts):
-    # sizes past the CPU count, so that 2 and 3 differ on any machine
+def test_sharded_calls_share_one_pool(monkeypatch, pool_starts):
+    # all the shards of one entry-point call share one pool, which the
+    # call stops before it returns; a pool of 3 on any machine
+    monkeypatch.setattr(_parallel, "_pool_size", lambda workers, shards: workers)
+    first = exhaustive_scsf(30, workers=3)
+    assert not multiprocessing.active_children()
+    second = exhaustive_scsf(30, workers=3)
+    assert not multiprocessing.active_children()
+    assert first == second == exhaustive_scsf(30)
+    assert pool_starts == [3, 3]
+
+
+def test_pool_is_replaced_when_its_size_changes(monkeypatch, pool_starts):
+    # each call starts a pool of its own size, so a new size gets a new
+    # pool; sizes past the CPU count, so that 2 and 3 differ on any machine
     monkeypatch.setattr(_parallel, "_pool_size", lambda workers, shards: workers)
     shards = [(2, k) for k in range(8)]
     expected = [pow(*args) for args in shards]
