@@ -26,7 +26,7 @@ from ._bits import bit_positions, rotate
 from ._parallel import require_workers, run_sharded, shard_ranges
 from ._primes import is_prime
 from .errors import ConstructionError, DomainError, ParameterError
-from .zn_core import CyclicSet, _sumset_bits, classify, negate, sumset
+from .zn_core import CyclicSet, _sumset_bits, classify, is_sum_free, is_symmetric, sumset
 
 __all__ = [
     "CayleyGraph",
@@ -56,7 +56,7 @@ class CayleyGraph:
         S = self.generators
         if 0 in S:
             raise DomainError("generator set must not contain 0")
-        if negate(S).bits != S.bits:
+        if not is_symmetric(S):
             raise DomainError("generator set must be symmetric for an undirected graph")
 
     @property
@@ -112,7 +112,7 @@ def graph_properties(graph: CayleyGraph) -> GraphProperties:
     """
     n = graph.n
     S = graph.generators.bits
-    triangle_free = not _sumset_bits(S, S, n) & S
+    triangle_free = is_sum_free(graph.generators)
     full = (1 << n) - 1
     visited = frontier = 1
     diameter: Optional[int] = 0
@@ -189,7 +189,7 @@ def dioid_partition(S: CyclicSet) -> PartitionReport:
                 unions_ok = False
             products.append((i, j, indices))
     identity_ok = all(sumset(zero, part).bits == part.bits for part in parts)
-    negation_ok = all(negate(part).bits == part.bits for part in parts)
+    negation_ok = all(is_symmetric(part) for part in parts)
     return PartitionReport(
         p=p,
         parts=parts,

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ._bits import positions_text
@@ -281,22 +281,12 @@ def _cmd_search_probe(args: argparse.Namespace) -> CommandEnvelope:
         for key in ("p", "k", "t"):
             del predicted[key]
     payload = {
-        "p": report.p,
-        "s": report.s,
-        "t": report.t,
-        "definition_valid": report.definition_valid,
-        "theorem_valid": report.theorem_valid,
-        "special_count": report.special_count,
-        "catalog_count": report.catalog_count,
-        "construction_count": report.construction_count,
-        "matched_count": report.matched_count,
-        "catalog_only": [set_to_json(member) for member in report.catalog_only],
-        "construction_only": [
-            set_to_json(member) for member in report.construction_only
-        ],
-        "exact_match": report.exact_match,
-        "predicted": predicted,
+        f.name: getattr(report, f.name) for f in fields(report) if f.name != "predicted"
     }
+    for key in ("catalog_only", "construction_only"):
+        payload[key] = [set_to_json(member) for member in payload[key]]
+    payload["exact_match"] = report.exact_match
+    payload["predicted"] = predicted
     diagnostics = {}
     if not report.theorem_valid:
         diagnostics["hypotheses_unmet"] = (

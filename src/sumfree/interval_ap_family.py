@@ -11,15 +11,14 @@ arithmetic progression, which is what the density corollaries run on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from .errors import ConstructionError, DomainError, ParameterError
 from .zn_core import CyclicSet, classify, interval, negate
 
 __all__ = [
     "IntervalAPParameters",
-    "SolvedParameters",
     "SizeLadder",
     "N_MIN",
     "component_sets",
@@ -131,17 +130,8 @@ def build_small(params: IntervalAPParameters, *, checked: bool = True) -> Cyclic
     return result
 
 
-class SolvedParameters(NamedTuple):
-    """Base parameters chosen from n alone."""
-
-    t0: int
-    d0: int
-    k0: int
-    a: int
-
-
-def solve_parameters(n: int) -> SolvedParameters:
-    """Pick (t0, d0, k0, a) with n = 4*d0*k0 + 6*t0 - a.
+def solve_parameters(n: int) -> IntervalAPParameters:
+    """The base cell (t0, d0, k0, a) with n = 4*d0*k0 + 6*t0 - a.
 
     d0 is the unique of floor(sqrt(n)), -1, -2 that is 1 mod 3; a follows
     the parity of n; t0 and k0 fall out of division with remainder.  Raises
@@ -173,14 +163,9 @@ def solve_parameters(n: int) -> SolvedParameters:
         raise ParameterError(
             f"below construction threshold for n = {n}: k0 = {k0} < 4"
         )
-    solved = SolvedParameters(t0, d0, k0, a)
+    solved = IntervalAPParameters(t=t0, d=d0, k=k0, a=a)
     # the remaining bounds hold by construction; keep them loud
-    if not (
-        t0 >= 1
-        and d0 <= 2 * t0 + 1
-        and 2 * d0 <= 3 * t0 <= 8 * d0
-        and 4 * d0 * k0 + 6 * t0 - a == n
-    ):
+    if not (d0 <= 2 * t0 + 1 and 2 * d0 <= 3 * t0 <= 8 * d0 and solved.n == n):
         raise ConstructionError(f"{solved} breaks the parameter bounds for n = {n}")
     return solved
 
@@ -202,17 +187,16 @@ def size_ladder(n: int) -> SizeLadder:
 
     Sizes form an arithmetic progression of difference 2(2*d0-3).
     """
-    t0, d0, k0, a = solve_parameters(n)
-    rung_count = (k0 - 4) // 3 + 1
+    base = solve_parameters(n)
     rungs = tuple(
-        IntervalAPParameters(t=t0 + 2 * d0 * i, d=d0, k=k0 - 3 * i, a=a)
-        for i in range(rung_count)
+        replace(base, t=base.t + 2 * base.d * i, k=base.k - 3 * i)
+        for i in range((base.k - 4) // 3 + 1)
     )
     for i, params in enumerate(rungs):
         if not (
             params.n == n
             and params.hypothesis_ok
-            and params.size == rungs[0].size + i * 2 * (2 * d0 - 3)
+            and params.size == base.size + i * 2 * (2 * base.d - 3)
         ):
             raise ConstructionError(f"rung {i} {params} is off the ladder at n = {n}")
     return SizeLadder(n, rungs)

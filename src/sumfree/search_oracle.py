@@ -433,8 +433,10 @@ def characterization_probe(
         specials = enumerate_special(t, budget=budget)
         special_count = specials.g
         if definition_valid:
-            for T in specials.sets:
-                construction_bits |= _dilation_orbit(build_st(params, T).bits, p)
+            members, _ = _expand_orbits(
+                p, [build_st(params, T).bits for T in specials.sets]
+            )
+            construction_bits = {member.bits for member in members}
         # the size class whose window is this t, if any, reuses the enumeration above
         predicted = _predicted_count(p, specials)
 

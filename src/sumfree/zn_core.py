@@ -195,13 +195,7 @@ def interval(n: int, a: int, b: int) -> CyclicSet:
         raise IntervalCoversGroupError(
             f"interval [{a}, {b}] has length {length} >= n = {n}"
         )
-    lo = a % n
-    if lo + length <= n:
-        bits = ((1 << length) - 1) << lo
-    else:
-        head = n - lo
-        bits = (((1 << head) - 1) << lo) | ((1 << (length - head)) - 1)
-    return CyclicSet(n, bits)
+    return CyclicSet(n, rotate((1 << length) - 1, a % n, n))
 
 
 def sumset(a: CyclicSet, b: CyclicSet) -> CyclicSet:

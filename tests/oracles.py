@@ -20,6 +20,9 @@ per sum-free set, as the library did before it kept its own stack;
 ``max_sum_free_from_empty`` (by ``_max_sum_free_extend``) search every
 set, not one representative per dilation orbit, as the library did
 before it expanded the orbits of the sets holding 1;
+``construction_dilates`` multiplies each S_T of the probe's construction
+by each unit with the public ``dilate``, one set at a time, where the
+probe expands whole orbits through the catalogs' helper;
 ``equivalence_per_window`` builds S_T for each of the 4^t windows and
 runs the group predicates on it, as the library did before its
 equivalence sweep compared two searches; ``_run_trial`` runs the
@@ -36,7 +39,7 @@ bits in ``_bits``.
 
 import json
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -52,7 +55,13 @@ from sumfree.search_oracle import (
     _pair_orbits,
 )
 from sumfree.special_sets import SpecialEnumeration, _with_member
-from sumfree.st_family import STParameters, TCandidate, _is_special_mask, _st_bits
+from sumfree.st_family import (
+    STParameters,
+    TCandidate,
+    _is_special_mask,
+    _st_bits,
+    build_st,
+)
 from sumfree.zn_core import (
     CyclicSet,
     _sumset_bits,
@@ -370,6 +379,21 @@ def max_sum_free_from_empty(p: int) -> MaxSumFreeCatalog:
         CyclicSet(p, bits) for size, bits in sorted(leaves) if size == best[0]
     )
     return MaxSumFreeCatalog(p, best[0], members, classes_per_member(members))
+
+
+def construction_dilates(p: int, s: int) -> Set[int]:
+    """Bit masks of u * S_T for every unit u and every t-special window T.
+
+    The windows come from ``brute_special`` and each S_T from
+    ``build_st``; needs the construction defined at (p, s) and t <= 8.
+    """
+    params = STParameters(p, s)
+    params.require_definition_valid()
+    return {
+        dilate(build_st(params, T), u).bits
+        for T in brute_special(params.t).sets
+        for u in units(p)
+    }
 
 
 def equivalence_per_window(n: int, s: int) -> EquivalenceReport:

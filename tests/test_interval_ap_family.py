@@ -138,34 +138,39 @@ def test_gap_and_bc_hold_on_grid():
 
 def test_solver_n1000():
     solved = solve_parameters(1000)
-    assert solved == (45, 31, 6, 14)
-    t0, d0, k0, a = solved
-    assert 4 * d0 * k0 + 6 * t0 - a == 1000
+    assert solved == IntervalAPParameters(t=45, d=31, k=6, a=14)
+    assert 4 * solved.d * solved.k + 6 * solved.t - solved.a == solved.n == 1000
 
 
 def test_solver_n10000():
-    assert solve_parameters(10000) == (69, 100, 24, 14)
+    assert solve_parameters(10000) == IntervalAPParameters(t=69, d=100, k=24, a=14)
 
 
 def test_solver_n100000():
-    assert solve_parameters(100000) == (237, 316, 78, 14)
+    assert solve_parameters(100000) == IntervalAPParameters(t=237, d=316, k=78, a=14)
 
 
 def test_solver_odd_modulus():
-    t0, d0, k0, a = solve_parameters(1001)
-    assert a == 11
-    assert 4 * d0 * k0 + 6 * t0 - a == 1001
+    solved = solve_parameters(1001)
+    assert solved.a == 11
+    assert 4 * solved.d * solved.k + 6 * solved.t - solved.a == solved.n == 1001
 
 
 def test_solver_postconditions_on_window():
     for n in range(N_MIN, N_MIN + 120):
-        t0, d0, k0, a = solve_parameters(n)
-        assert 4 * d0 * k0 + 6 * t0 - a == n
+        solved = solve_parameters(n)
+        t0, d0, k0 = solved.t, solved.d, solved.k
+        assert 4 * d0 * k0 + 6 * t0 - solved.a == solved.n == n
         assert d0 % 3 == 1 and d0 >= 2
         assert k0 >= 4
         assert t0 >= 1
         assert d0 <= 2 * t0 + 1
         assert 2 * d0 <= 3 * t0 <= 8 * d0
+
+
+def test_solver_returns_the_first_rung():
+    for n in [*range(N_MIN, N_MIN + 201), 10**3, 10**4, 10**5]:
+        assert solve_parameters(n) == size_ladder(n).rungs[0]
 
 
 def test_solver_threshold():

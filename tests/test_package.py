@@ -418,13 +418,11 @@ def test_only_bits_turns_masks_into_bytes(path):
 
 
 # library entry points a user calls directly; the package itself reaches
-# the same predicates through classify and st_family._is_special_mask,
-# the family through lower_bound_family, and dilation through the orbit
-# helper of search_oracle
+# completeness through classify, the window conditions through
+# st_family._is_special_mask, the family through lower_bound_family, and
+# dilation through the orbit helper of search_oracle
 ENTRY_POINTS = {
     "dilate",
-    "is_symmetric",
-    "is_sum_free",
     "is_complete",
     "st_sum_free_condition",
     "st_completeness_condition",

@@ -20,6 +20,7 @@ from oracles import (
     brute_special,
     catalog_all_orbits,
     classes_per_member,
+    construction_dilates,
     equivalence_per_window,
     max_sum_free_from_empty,
     scsf_skip_take,
@@ -464,6 +465,29 @@ def test_probe_predicts_exactly_on_the_size_class_windows(p):
         assert report.predicted == predicted_scsf_count(p, r, budget=budget)
         predictions += 1
     assert predictions > 0 or p < 13
+
+
+# every (p, s), p an odd prime <= 43, where the construction is defined
+DEFINED_PROBES = [
+    (p, s)
+    for p in range(3, 44)
+    if is_prime(p)
+    for s in range(1, p + 1)
+    if p - 3 * s + 1 > 0 and (p - 3 * s + 1) % 2 == 0 and p <= 4 * s - 3
+]
+
+
+@pytest.mark.parametrize("p, s", DEFINED_PROBES)
+def test_probe_construction_matches_per_unit_dilates(p, s):
+    report = characterization_probe(p, s)
+    assert report.definition_valid
+    construction = construction_dilates(p, s)
+    catalog = {member.bits for member in exhaustive_scsf(p, size_filter=s).members}
+    assert report.construction_count == len(construction)
+    assert report.matched_count == len(construction & catalog)
+    assert report.construction_only == tuple(
+        CyclicSet(p, bits) for bits in sorted(construction - catalog)
+    )
 
 
 def test_probe_no_window():

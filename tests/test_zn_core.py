@@ -231,6 +231,17 @@ def test_interval_cardinality_is_length():
     assert interval(100, -3, 3).size == 7
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_interval_matches_its_elements_at_every_offset(n):
+    # every start in [-2n, 2n], so every wrap offset a % n, at every length
+    for a in range(-2 * n, 2 * n + 1):
+        for length in range(1, n):
+            expected = CyclicSet.from_elements(n, range(a, a + length))
+            assert interval(n, a, a + length - 1) == expected
+        with pytest.raises(IntervalCoversGroupError):
+            interval(n, a, a + n - 1)
+
+
 def test_interval_rejects_bad_endpoints():
     with pytest.raises(DomainError):
         interval(8, 5, 4)
