@@ -6,11 +6,17 @@ rotating an n-bit mask.  Set bits are listed by one rule on the mask's
 length: a Python byte walk up to _WALK_MAX_BYTES bytes, numpy beyond, and
 the decimal text always takes its indices from numpy.  No other module
 turns a mask into bytes or back.
+
+numpy loads on first use, in the two functions that call it, so a process
+that only walks short masks, such as every search, never imports it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BYTE_POSITIONS = tuple(
     tuple(j for j in range(8) if b >> j & 1) for b in range(256)
@@ -28,6 +34,8 @@ _WALK_MAX_BYTES = 64
 
 def _positions_array(bits: int) -> np.ndarray:
     """Indices of set bits, ascending, as a numpy integer array."""
+    import numpy as np
+
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool))
 
@@ -60,6 +68,8 @@ def positions_text(bits: int, sep: str = ",") -> str:
     one uint8 matrix of w digit columns plus the separator's columns, and
     the matrices' bytes are the text.
     """
+    import numpy as np
+
     # uint32 division by a constant is several times faster than int64's
     dtype = np.uint32 if bits.bit_length() <= 1 << 32 else np.uint64
     positions = _positions_array(bits).astype(dtype)

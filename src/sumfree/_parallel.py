@@ -6,13 +6,17 @@ many processes run them.  Shards are dispatched in order and results are
 collected in submission order, so parallel runs merge to exactly the
 sequential answer.  A call that runs more than one process starts its
 own pool and shuts it down before it returns, so no worker outlives it.
+
+The pool machinery loads with the first pool: ``concurrent.futures``
+imports its ``process`` submodule, and with it ``multiprocessing``, only
+when ``futures.ProcessPoolExecutor`` is first read, so a process that runs
+every call in the caller never loads them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent import futures
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import ParameterError
@@ -65,10 +69,11 @@ def run_sharded(fn: Callable, shards: Sequence[Tuple], workers: int) -> List:
     # map's result iterator cancels the queued shards when one raises
     columns = list(zip(*shards))
     try:
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        with futures.ProcessPoolExecutor(max_workers=size) as pool:
             return list(pool.map(fn, *columns))
-    except BrokenProcessPool:
+    # evaluated only once a pool has started, so futures.process is loaded
+    except futures.process.BrokenProcessPool:
         # a worker died mid-call; shards are pure functions of their
         # arguments, so they run once more on a fresh pool
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        with futures.ProcessPoolExecutor(max_workers=size) as pool:
             return list(pool.map(fn, *columns))

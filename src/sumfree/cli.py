@@ -6,6 +6,9 @@ output is safe to pipe.  Exit status 0 means the command ran and every
 hard mathematical assertion passed; 1 means a domain error or a falsified
 check, with a structured error payload; 2 is argparse's usage failure.
 Asymptotic-claim and hypothesis flags are data, never exit conditions.
+
+The three handlers that need ``applications`` import it when they run, so
+the other commands never load it or the numpy.random it brings.
 """
 
 from __future__ import annotations
@@ -20,13 +23,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ._bits import positions_text
-from .applications import (
-    ProcessConfig,
-    cayley_graph,
-    dioid_partition,
-    graph_properties,
-    simulate_random_sumfree,
-)
 from .errors import DomainError, SumfreeError
 from .interval_ap_family import (
     IntervalAPParameters,
@@ -296,6 +292,8 @@ def _cmd_search_probe(args: argparse.Namespace) -> CommandEnvelope:
 
 
 def _cmd_cayley(args: argparse.Namespace) -> CommandEnvelope:
+    from .applications import cayley_graph, graph_properties
+
     S = _load_set(args.n, args.set, args.set_file)
     graph = cayley_graph(S)
     if args.format == "dot":
@@ -310,6 +308,8 @@ def _cmd_cayley(args: argparse.Namespace) -> CommandEnvelope:
 
 
 def _cmd_dioid(args: argparse.Namespace) -> CommandEnvelope:
+    from .applications import dioid_partition
+
     S = _load_set(args.p, args.set, args.set_file)
     report = dioid_partition(S)
     payload = {
@@ -330,6 +330,8 @@ def _cmd_dioid(args: argparse.Namespace) -> CommandEnvelope:
 
 
 def _cmd_simulate_cameron(args: argparse.Namespace) -> CommandEnvelope:
+    from .applications import ProcessConfig, simulate_random_sumfree
+
     conditioning = None
     if (args.mod is None) != (args.set is None):
         raise DomainError("--mod and --set go together")

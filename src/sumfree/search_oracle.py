@@ -81,23 +81,33 @@ def _dilation_orbit(bits: int, n: int) -> Set[int]:
     return {bits_from_positions(n, [u * x % n for x in positions]) for u in units(n)}
 
 
+def _orbit_union(n: int, leaves: List[int]) -> Tuple[Set[int], List[Set[int]]]:
+    """The masks of every unit dilate of the leaves, and their orbits.
+
+    A leaf already claimed by an earlier leaf's orbit adds nothing, so each
+    orbit is built once, in the order of the leaves that reach it first.
+    """
+    claimed: Set[int] = set()
+    orbits = []
+    for leaf in leaves:
+        if leaf not in claimed:
+            orbits.append(_dilation_orbit(leaf, n))
+            claimed |= orbits[-1]
+    return claimed, orbits
+
+
 def _expand_orbits(
     n: int, leaves: List[int]
 ) -> Tuple[Tuple[CyclicSet, ...], Tuple[DilationClass, ...]]:
     """Every unit dilate of the leaves in bit order, and the classes they form.
 
-    A leaf already claimed by an earlier leaf's orbit adds nothing, so each
-    orbit is built once and becomes one class: its representative is the
-    member with the least mirrored mask, and classes are in increasing
-    order of the representative's mask.
+    Each orbit is one class: its representative is the member with the
+    least mirrored mask, and classes are in increasing order of the
+    representative's mask.
     """
-    claimed: Set[int] = set()
+    claimed, orbits = _orbit_union(n, leaves)
     classes = []
-    for leaf in leaves:
-        if leaf in claimed:
-            continue
-        orbit = _dilation_orbit(leaf, n)
-        claimed |= orbit
+    for orbit in orbits:
         rep = min(orbit, key=lambda bits: mirror(bits, n))
         classes.append(DilationClass(CyclicSet(n, rep), len(orbit)))
     classes.sort(key=lambda c: c.representative.bits)
@@ -433,10 +443,9 @@ def characterization_probe(
         specials = enumerate_special(t, budget=budget)
         special_count = specials.g
         if definition_valid:
-            members, _ = _expand_orbits(
+            construction_bits, _ = _orbit_union(
                 p, [build_st(params, T).bits for T in specials.sets]
             )
-            construction_bits = {member.bits for member in members}
         # the size class whose window is this t, if any, reuses the enumeration above
         predicted = _predicted_count(p, specials)
 

@@ -479,6 +479,59 @@ def test_simulate_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+# --- deferred imports ---
+
+
+def _fresh_stdout(line):
+    """Stdout of ``python -m sumfree`` on line, in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumfree", *line.split()],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# the handlers that import applications when they run, with the stdout the
+# in-process tests above pin; nothing else has loaded applications or numpy
+# in a fresh interpreter
+FRESH_INTERPRETER_STDOUT = [
+    ("cayley --n 8 --set 3,4,5",
+     '{"n":8,"degree":3,"regular":true,"triangle_free":true,"diameter":2,'
+     '"diameter_sampled":false}\n'),
+    ("cayley --n 5 --set 2,3 --format edges", "0 2\n0 3\n1 3\n1 4\n2 4\n"),
+    ("dioid --p 5 --set 2,3",
+     '{"p":5,"part_sizes":[1,2,2],"parts":[{"n":5,"elements":[0]},'
+     '{"n":5,"elements":[2,3]},{"n":5,"elements":[1,4]}],"products":'
+     '[[0,0,[0]],[0,1,[1]],[0,2,[2]],[1,0,[1]],[1,1,[0,2]],[1,2,[1,2]],'
+     '[2,0,[2]],[2,1,[1,2]],[2,2,[0,1]]],"axioms":{"sums_are_part_unions":true,'
+     '"identity_part":true,"negation_closed":true},"all_ok":true}\n'),
+    ("simulate cameron --horizon 3000 --trials 4000 --seed 11 --mod 5 --set 2,3",
+     '{"horizon":3000,"trials":4000,"seed":11,"mod":5,"set":[2,3],'
+     '"contained_trials":80,"joined_total":48352,"containment_rate":0.02,'
+     '"conditional_density":0.20146666666666666}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    FRESH_INTERPRETER_STDOUT,
+    ids=[line for line, _ in FRESH_INTERPRETER_STDOUT],
+)
+def test_applications_commands_in_a_fresh_interpreter(line, expected):
+    assert _fresh_stdout(line) == expected
+
+
+def test_sets_render_through_numpy_in_a_fresh_interpreter():
+    # positions_text imports numpy on first use
+    line = "ladder --n 1000"
+    digest = hashlib.sha256(_fresh_stdout(line).encode()).hexdigest()
+    assert digest == dict(LARGE_SET_STDOUT)[line]
+
+
 WORKER_COMMANDS = [
     ["st", "equiv", "--n", "61", "--s", "18"],
     ["search", "exhaustive", "--n", "8"],

@@ -1,8 +1,8 @@
 """Package-wide checks: exported names and their callers, worker counts,
 pool sizing and the one pool per call with more than one process, shut
 down before the call returns, no asserts, the layer order of the imports
-and what each import loads, no imports inside functions, and grammar no
-newer than the oldest supported Python."""
+and what each import loads, no imports inside functions but the listed
+deferred ones, and grammar no newer than the oldest supported Python."""
 
 import ast
 import importlib
@@ -14,7 +14,7 @@ import pkgutil
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 
 import pytest
 
@@ -71,12 +71,13 @@ def pool_starts(monkeypatch):
     """The sizes of the pools started during a test, in order."""
     started = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers=max_workers)
             started.append(max_workers)
 
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountingPool)
+    # run_sharded reads the pool class from concurrent.futures at each call
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
     return started
 
 
@@ -233,30 +234,45 @@ def test_no_assert_in_package_source(path):
 
 
 def _imports_inside_functions(tree):
-    """Line numbers of import statements anywhere under a def in tree."""
-    return sorted(
-        {
-            node.lineno
-            for func in ast.walk(tree)
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(func)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-        }
-    )
+    """(line, module) of the imports anywhere under a def in tree; a
+    relative module keeps its leading dots."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Import):
+                found |= {(node.lineno, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                found.add((node.lineno, "." * node.level + (node.module or "")))
+    return sorted(found)
 
 
 def test_import_scan_finds_a_nested_import():
-    tree = ast.parse("import os\ndef f():\n    def g():\n        from x import y\n")
-    assert _imports_inside_functions(tree) == [4]
+    tree = ast.parse(
+        "import os\ndef f():\n    def g():\n        from x import y\n"
+        "    from .a import b\n    import numpy as np\n"
+    )
+    assert _imports_inside_functions(tree) == [(4, "x"), (5, ".a"), (6, "numpy")]
+
+
+# the only imports inside functions, per file: numpy loads on first use,
+# and only the cli handlers that need applications load it. Deferring an
+# import cannot hide a cycle between the layers, because
+# test_imports_follow_the_layer_order scans function bodies too.
+DEFERRED_IMPORTS = {"_bits.py": {"numpy"}, "cli.py": {".applications"}}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_import_inside_a_function(path):
-    # every dependency between modules shows at the top of the file, so a
-    # lazy import cannot hide an import cycle between the layers
+    # any other dependency shows at the top of the file, and a listed
+    # import that is no longer deferred leaves the list
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = _imports_inside_functions(tree)
-    assert not lines, f"{path.name} imports inside functions at lines {lines}"
+    found = _imports_inside_functions(tree)
+    listed = DEFERRED_IMPORTS.get(path.name, set())
+    assert {module for _, module in found} == listed, (
+        f"{path.name} imports inside functions {found}; DEFERRED_IMPORTS lists {listed}"
+    )
 
 
 # the package's modules, lowest layer first; each imports only modules
@@ -299,6 +315,9 @@ def test_layer_scan_finds_an_upward_import():
         "if x:\n    from .zn_core import B\nfrom ._primes import C\n"
     )
     assert _upward_imports("_primes", tree) == ["_primes", "cli", "zn_core"]
+    # a deferred import counts as well
+    tree = ast.parse("from .errors import A\ndef f():\n    from .cli import x\n")
+    assert _upward_imports("zn_core", tree) == ["cli"]
 
 
 @pytest.mark.parametrize(
@@ -328,10 +347,13 @@ def _modules_after(statement):
 
 
 # the package modules that importing each module loads: the root
-# re-exports nothing, so a layer brings in only itself and what it imports
+# re-exports nothing, so a layer brings in only itself and what it imports;
+# cli imports applications only in the handlers that use it
 LOADS = {
     "sumfree": {"sumfree"},
     "sumfree.zn_core": {"sumfree", "sumfree.zn_core", "sumfree._bits", "sumfree.errors"},
+    "sumfree.cli": {"sumfree"}
+    | {f"sumfree.{name}" for name in LAYER_ORDER if name not in ("applications", "__main__")},
 }
 
 
@@ -340,8 +362,8 @@ def test_import_loads_only_the_layers_below(module):
     loaded = _modules_after(f"import {module}")
     loads = LOADS[module]
     assert {name for name in loaded if name.partition(".")[0] == "sumfree"} == loads
-    # numpy comes in with _bits, the lowest layer that uses it
-    assert ("numpy" in loaded) == ("sumfree._bits" in loads)
+    # numpy loads on first use, and the pool machinery with the first pool
+    assert not loaded & {"numpy", "numpy.random", "concurrent.futures.process"}
 
 
 def _calls_itself(func):
