@@ -2,12 +2,12 @@
 
 Each job has one implementation here: listing set bits, writing them as
 decimal text, packing indices, mirroring a mask within a width, and
-rotating an n-bit mask.  Set bits are listed by one rule on the mask's
-length: a Python byte walk up to _WALK_MAX_BYTES bytes, numpy beyond, and
-the decimal text always takes its indices from numpy.  No other module
-turns a mask into bytes or back.
+rotating an n-bit mask.  Set bits are listed, and indices packed, by one
+rule on the mask's length: a Python byte walk up to _WALK_MAX_BYTES bytes,
+numpy beyond; the decimal text always takes its indices from numpy.  No
+other module turns a mask into bytes or back.
 
-numpy loads on first use, in the two functions that call it, so a process
+numpy loads on first use, in the functions that call it, so a process
 that only walks short masks, such as every search, never imports it.
 """
 
@@ -26,9 +26,9 @@ _BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 _ZERO = ord("0")
 
-# masks of more bytes than this list their bits through numpy; shorter
-# ones, such as every search mask, are walked in Python, where numpy's
-# per-call cost would dominate
+# masks of more bytes than this list and pack their bits through numpy;
+# shorter ones, such as every search mask, are walked in Python, where
+# numpy's per-call cost would dominate
 _WALK_MAX_BYTES = 64
 
 
@@ -94,8 +94,21 @@ def positions_text(bits: int, sep: str = ",") -> str:
 
 
 def bits_from_positions(width: int, positions) -> int:
-    """Pack an iterable of indices in [0, width) into an int bitmask."""
-    buf = bytearray((width + 7) >> 3)
+    """Pack an iterable of indices in [0, width) into an int bitmask.
+
+    The length rule of bit_positions applies to the width: up to
+    _WALK_MAX_BYTES bytes, each index sets its bit in a bytearray in
+    Python; beyond, numpy reads the indices into one array, flags them in
+    a bool row and packs the row into bytes, with no Python step per index.
+    """
+    nbytes = (width + 7) >> 3
+    if nbytes > _WALK_MAX_BYTES:
+        import numpy as np
+
+        flags = np.zeros(nbytes << 3, bool)
+        flags[np.fromiter(positions, np.intp)] = True
+        return int.from_bytes(np.packbits(flags, bitorder="little"), "little")
+    buf = bytearray(nbytes)
     for p in positions:
         buf[p >> 3] |= 1 << (p & 7)
     return int.from_bytes(buf, "little")

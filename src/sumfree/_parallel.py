@@ -7,16 +7,17 @@ collected in submission order, so parallel runs merge to exactly the
 sequential answer.  A call that runs more than one process starts its
 own pool and shuts it down before it returns, so no worker outlives it.
 
-The pool machinery loads with the first pool: ``concurrent.futures``
-imports its ``process`` submodule, and with it ``multiprocessing``, only
-when ``futures.ProcessPoolExecutor`` is first read, so a process that runs
+The pool machinery loads with the first pool: ``run_sharded`` imports
+``concurrent.futures`` (and with it ``logging``) only once it needs more
+than one process, and ``concurrent.futures`` imports its ``process``
+submodule, and with it ``multiprocessing``, only when
+``futures.ProcessPoolExecutor`` is first read, so a process that runs
 every call in the caller never loads them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent import futures
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import ParameterError
@@ -66,6 +67,8 @@ def run_sharded(fn: Callable, shards: Sequence[Tuple], workers: int) -> List:
     size = _pool_size(workers, len(shards))
     if size <= 1:
         return [fn(*args) for args in shards]
+    from concurrent import futures
+
     # map's result iterator cancels the queued shards when one raises
     columns = list(zip(*shards))
     try:

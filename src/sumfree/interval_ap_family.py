@@ -78,6 +78,20 @@ def _half_even(value: int) -> int:
     return value // 2
 
 
+def _progression_bits(terms: int, step: int) -> int:
+    """The mask of {i * step : 0 <= i < terms}, terms >= 1.
+
+    Each shift-OR doubles the terms held, up to the count asked for, so
+    the mask takes O(log terms) big-integer shifts, not one per term.
+    """
+    spread, held = 1, 1
+    while held < terms:
+        shift = min(held, terms - held)
+        spread |= spread << shift * step
+        held += shift
+    return spread
+
+
 def component_sets(
     params: IntervalAPParameters,
 ) -> Tuple[CyclicSet, CyclicSet, CyclicSet]:
@@ -90,11 +104,12 @@ def component_sets(
     a0 = _half_even((n + 1) // 2 + t + 1)
     A = interval(n, a0, a0 + d - 2)
     b_start = a0 + 2 * d - 2
-    B = CyclicSet.from_elements(n, (b_start + i * d for i in range(k - 3)))
-    C = interval(n, n // 2 - t, (n + 1) // 2 + t)
-    # the last element of B must land exactly 2d-2 short of C's left end
+    # the last element of B must land exactly 2d-2 short of C's left end,
+    # so B lies inside [0, n) and needs no reduction mod n
     if b_start + (k - 4) * d != n // 2 - t - 2 * d + 2:
         raise ConstructionError(f"B does not end 2d-2 short of C for {params}")
+    B = CyclicSet(n, _progression_bits(k - 3, d) << b_start)
+    C = interval(n, n // 2 - t, (n + 1) // 2 + t)
     total = 0
     for piece in (A, negate(A), B, negate(B), C):
         if total & piece.bits:

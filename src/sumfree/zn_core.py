@@ -20,6 +20,7 @@ freely between threads or processes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List
 
@@ -63,10 +64,14 @@ class CyclicSet:
 
     @classmethod
     def from_elements(cls, n: int, elements: Iterable[int]) -> "CyclicSet":
-        """Build from any iterable of integers, reduced mod n."""
+        """Build from any iterable of integers, reduced mod n.
+
+        A non-integer member raises TypeError at every n; numpy's packer
+        above 64 bytes would otherwise truncate a float silently.
+        """
         if n < 1:
             raise DomainError(f"modulus must be positive, got {n}")
-        return cls(n, bits_from_positions(n, (x % n for x in elements)))
+        return cls(n, bits_from_positions(n, (operator.index(x) % n for x in elements)))
 
     @property
     def size(self) -> int:

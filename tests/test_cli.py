@@ -21,8 +21,9 @@ import sumfree
 from oracles import first_difference, rendered_as_lists
 from sumfree import cli, search_oracle
 from sumfree.cli import CommandEnvelope, build_parser, dispatch, main
+from sumfree.interval_ap_family import build_small, size_ladder
 from sumfree.special_sets import enumerate_special
-from sumfree.zn_core import CyclicSet, classify, set_from_json
+from sumfree.zn_core import CyclicSet, classify, set_from_json, set_to_json
 
 
 SRC = os.path.dirname(os.path.dirname(sumfree.__file__))
@@ -530,6 +531,50 @@ def test_sets_render_through_numpy_in_a_fresh_interpreter():
     line = "ladder --n 1000"
     digest = hashlib.sha256(_fresh_stdout(line).encode()).hexdigest()
     assert digest == dict(LARGE_SET_STDOUT)[line]
+
+
+# python -m sumfree, then the names in sys.modules on stderr's last line
+_RUN_AND_LIST_MODULES = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('', *sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('sumfree', run_name='__main__', alter_sys=True)\n"
+)
+
+def _fresh_run(argv):
+    """Stdout and the loaded modules of a fresh interpreter running argv."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["verify --n 8 --set 3,4,5", "search exhaustive --n 20", "special enum --t 5"],
+)
+def test_small_requests_load_no_numpy_or_pool_in_a_fresh_interpreter(capsys, line):
+    stdout, modules = _fresh_run(line.split())
+    _, expected, _ = run(capsys, *line.split())
+    assert stdout == expected
+    # numpy is for masks above 64 bytes, concurrent.futures (and logging
+    # with it) for calls that start a pool
+    assert not modules & {"numpy", "logging", "concurrent.futures"}
+
+
+def test_a_set_file_above_64_bytes_verifies_in_a_fresh_interpreter(tmp_path):
+    # 1000 bits are 125 bytes, so set_from_json packs the members by numpy
+    rung = build_small(size_ladder(1000).rungs[-1])
+    path = tmp_path / "rung.json"
+    path.write_text(json.dumps(set_to_json(rung)), encoding="utf-8")
+    stdout, modules = _fresh_run(["verify", "--n", "1000", "--set-file", str(path)])
+    assert stdout == '{"symmetric":true,"sum_free":true,"complete":true,"size":157}\n'
+    assert "numpy" in modules
+    assert not modules & {"logging", "concurrent.futures"}
 
 
 WORKER_COMMANDS = [

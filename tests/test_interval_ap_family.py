@@ -5,6 +5,8 @@ solver outputs are checked against the reconstruction identity and hand
 computed goldens.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from oracles import bc_interval_check, gap_fill_check
@@ -82,6 +84,26 @@ def test_component_cardinalities_and_layout():
         assert C.size == params.c_size
         assert max(B) == n // 2 - t - 2 * d + 2  # last element identity
         assert max(B) < n // 2 - t  # B sits strictly left of C
+
+
+def per_term_progression(params):
+    """B's mask one term at a time: b_start + i*d for i < k - 3."""
+    n, t, d, k = params.n, params.t, params.d, params.k
+    b_start = ((n + 1) // 2 + t + 1) // 2 + 2 * d - 2
+    return sum(1 << (b_start + i * d) for i in range(k - 3))
+
+
+@pytest.mark.parametrize("n", [N_MIN, 12000, 10**5])
+def test_progression_matches_the_per_term_oracle_on_the_ladder(n):
+    for params in size_ladder(n).rungs:
+        assert component_sets(params)[1].bits == per_term_progression(params)
+
+
+@pytest.mark.parametrize("j", range(5, 80, 10))
+def test_progression_matches_the_per_term_oracle_on_density_cells(j):
+    # refined cells at small d, with k in the thousands
+    params = density_choice(99700, Fraction(j, 240))
+    assert component_sets(params)[1].bits == per_term_progression(params)
 
 
 # --- build ---

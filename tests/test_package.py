@@ -257,10 +257,15 @@ def test_import_scan_finds_a_nested_import():
 
 
 # the only imports inside functions, per file: numpy loads on first use,
-# and only the cli handlers that need applications load it. Deferring an
-# import cannot hide a cycle between the layers, because
-# test_imports_follow_the_layer_order scans function bodies too.
-DEFERRED_IMPORTS = {"_bits.py": {"numpy"}, "cli.py": {".applications"}}
+# concurrent.futures with the first pool, and only the cli handlers that
+# need applications load it. Deferring an import cannot hide a cycle
+# between the layers, because test_imports_follow_the_layer_order scans
+# function bodies too.
+DEFERRED_IMPORTS = {
+    "_bits.py": {"numpy"},
+    "_parallel.py": {"concurrent"},
+    "cli.py": {".applications"},
+}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -363,7 +368,13 @@ def test_import_loads_only_the_layers_below(module):
     loads = LOADS[module]
     assert {name for name in loaded if name.partition(".")[0] == "sumfree"} == loads
     # numpy loads on first use, and the pool machinery with the first pool
-    assert not loaded & {"numpy", "numpy.random", "concurrent.futures.process"}
+    assert not loaded & {
+        "numpy",
+        "numpy.random",
+        "logging",
+        "concurrent.futures",
+        "concurrent.futures.process",
+    }
 
 
 def _calls_itself(func):

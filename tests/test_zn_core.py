@@ -198,6 +198,14 @@ def test_from_elements_reduces_mod_n():
     assert mk(8, [-3, 11, 5]).elements() == [3, 5]
 
 
+@pytest.mark.parametrize("n", [8, 8 * _WALK_MAX_BYTES, 8 * _WALK_MAX_BYTES + 1, 10**5])
+def test_from_elements_refuses_a_float_on_both_packing_paths(n):
+    # numpy would truncate 1.5 to 1 above 64 bytes
+    with pytest.raises(TypeError):
+        CyclicSet.from_elements(n, [3, 1.5])
+    assert CyclicSet.from_elements(n, [True, 3]).elements() == [1, 3]
+
+
 def test_bad_modulus_and_bits_rejected():
     with pytest.raises(DomainError):
         CyclicSet(0, 0)
@@ -420,6 +428,45 @@ def test_bits_from_positions_inverts_bit_positions():
         assert bits_from_positions(width, naive_positions(bits)) == bits
         assert bits_from_positions(width, reversed(naive_positions(bits))) == bits
     assert bits_from_positions(5, [4, 4, 0]) == 0b10001
+
+
+def naive_mask(positions):
+    """One shift-OR per index; a repeated index sets its bit again."""
+    bits = 0
+    for p in positions:
+        bits |= 1 << p
+    return bits
+
+
+def _packed(width, positions):
+    """bits_from_positions, checked to return a Python int, not a numpy one."""
+    bits = bits_from_positions(width, positions)
+    assert type(bits) is int
+    return bits
+
+
+# the byte walk up to 8 * _WALK_MAX_BYTES = 512 bits, numpy above
+@pytest.mark.parametrize("width", range(8 * _WALK_MAX_BYTES - 7, 8 * _WALK_MAX_BYTES + 9))
+def test_bits_from_positions_matches_the_naive_oracle_across_the_edge(width):
+    rng = random.Random(width)
+    sample = rng.sample(range(width), width // 3)
+    cases = [[], [0], [width - 1], list(range(width)), sample, sorted(sample)]
+    for positions in cases:
+        assert _packed(width, positions) == naive_mask(positions)
+        assert _packed(width, (p for p in positions)) == naive_mask(positions)
+        repeated = positions + positions[::-1] + positions[: len(positions) // 2]
+        assert _packed(width, repeated) == naive_mask(positions)
+    assert _packed(width, [width - 1, 0, width - 1, 0, 7, 7]) == naive_mask([0, 7, width - 1])
+
+
+def test_bits_from_positions_packs_generators_and_empty_input_above_the_edge():
+    width = 10**5
+    for empty in ([], (), iter(()), (p for p in ())):
+        assert _packed(width, empty) == 0
+    for bits in _position_masks():
+        positions = naive_positions(bits)
+        generated = (p for p in positions + positions[:50])
+        assert _packed(max(width, bits.bit_length()), generated) == bits
 
 
 @given(st.integers(min_value=0, max_value=(1 << 3000) - 1))
