@@ -94,12 +94,14 @@ def positions_text(bits: int, sep: str = ",") -> str:
 
 
 def bits_from_positions(width: int, positions) -> int:
-    """Pack an iterable of indices in [0, width) into an int bitmask.
+    """Pack an iterable of ints in [0, width) into an int bitmask.
 
     The length rule of bit_positions applies to the width: up to
     _WALK_MAX_BYTES bytes, each index sets its bit in a bytearray in
     Python; beyond, numpy reads the indices into one array, flags them in
     a bool row and packs the row into bytes, with no Python step per index.
+    Neither path checks an index (numpy casts a float, the walk raises), so
+    every caller that takes outside input checks its indices first.
     """
     nbytes = (width + 7) >> 3
     if nbytes > _WALK_MAX_BYTES:

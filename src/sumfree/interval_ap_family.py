@@ -110,11 +110,6 @@ def component_sets(
         raise ConstructionError(f"B does not end 2d-2 short of C for {params}")
     B = CyclicSet(n, _progression_bits(k - 3, d) << b_start)
     C = interval(n, n // 2 - t, (n + 1) // 2 + t)
-    total = 0
-    for piece in (A, negate(A), B, negate(B), C):
-        if total & piece.bits:
-            raise ConstructionError(f"construction pieces overlap for {params}")
-        total |= piece.bits
     return A, B, C
 
 
@@ -130,11 +125,13 @@ def build_small(params: IntervalAPParameters, *, checked: bool = True) -> Cyclic
             f"hypothesis |C| >= d fails: |C| = {params.c_size} < d = {params.d}"
         )
     A, B, C = component_sets(params)
-    bits = A.bits | negate(A).bits | B.bits | negate(B).bits | C.bits
-    result = CyclicSet(params.n, bits)
+    half = A | B
+    result = half | negate(half) | C
+    # |A|, |-A|, |B|, |-B|, |C| sum to params.size: the union is smaller iff two overlap
     if result.size != params.size:
         raise ConstructionError(
-            f"built {result.size} elements, the formula gives {params.size}: {params}"
+            f"construction pieces overlap for {params}: built {result.size}"
+            f" elements, the formula gives {params.size}"
         )
     if checked:
         props = classify(result)

@@ -8,7 +8,9 @@ re-enumerates the t-special windows with plain set arithmetic, and
 ``special_unpruned`` with the depth-first search the library ran before
 it cut branches on the coverage condition;
 ``gap_fill_check`` and ``bc_interval_check`` test the two closed-form
-sumset claims of the interval-plus-progression construction;
+sumset claims of the interval-plus-progression construction, and
+``five_piece_union`` assembles that construction from its five pieces,
+each negated on its own, as the library did before it negated A u B once;
 ``canonical_dilation_class`` and ``classes_per_member`` split a catalog
 into dilation classes one member at a time, as the library did before
 its orbit sweep; ``scsf_skip_take`` runs one catalog search by a
@@ -198,6 +200,12 @@ def special_unpruned(t: int) -> SpecialEnumeration:
     masks: List[int] = []
     _unpruned_dfs(t, 0, 0, 0, 0, 0, masks)
     return SpecialEnumeration(t, tuple(TCandidate(t, m) for m in sorted(masks)))
+
+
+def five_piece_union(params: IntervalAPParameters) -> int:
+    """The mask of A u -A u B u -B u C, from component_sets."""
+    A, B, C = component_sets(params)
+    return A.bits | negate(A).bits | B.bits | negate(B).bits | C.bits
 
 
 def gap_fill_check(params: IntervalAPParameters) -> bool:

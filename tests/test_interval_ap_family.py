@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bc_interval_check, gap_fill_check
+from oracles import bc_interval_check, five_piece_union, gap_fill_check
+from sumfree import interval_ap_family
 from sumfree.errors import ConstructionError, DomainError, ParameterError
 from sumfree.interval_ap_family import (
     N_MIN,
@@ -20,7 +21,7 @@ from sumfree.interval_ap_family import (
     size_ladder,
     solve_parameters,
 )
-from sumfree.zn_core import classify, negate
+from sumfree.zn_core import CyclicSet, classify, negate
 
 
 def full_grid():
@@ -129,6 +130,37 @@ def test_build_grid_verified():
         S = build_small(params)  # checked mode re-runs the predicates
         assert S.size == params.size
         assert negate(S).bits == S.bits
+
+
+def test_build_matches_the_five_piece_oracle_on_the_grid():
+    for params in full_grid():
+        assert build_small(params).bits == five_piece_union(params)
+
+
+@pytest.mark.parametrize("n", [N_MIN, 12000, 10**5])
+def test_build_matches_the_five_piece_oracle_on_the_ladder(n):
+    for params in size_ladder(n).rungs:
+        assert build_small(params, checked=False).bits == five_piece_union(params)
+
+
+@pytest.mark.parametrize("j", range(5, 80, 10))
+def test_build_matches_the_five_piece_oracle_on_density_cells(j):
+    params = density_choice(99700, Fraction(j, 240))
+    assert build_small(params, checked=False).bits == five_piece_union(params)
+
+
+def test_build_refuses_overlapping_pieces(monkeypatch):
+    # C moved down by 2d-2 lands on B's last term: the pieces keep their
+    # sizes, so only the size count of the union can see the overlap
+    params = IntervalAPParameters(t=3, d=4, k=7, a=14)
+    A, B, C = component_sets(params)
+    shifted = CyclicSet(params.n, C.bits >> 2 * params.d - 2)
+    assert shifted.size == C.size and shifted.bits & B.bits
+    monkeypatch.setattr(
+        interval_ap_family, "component_sets", lambda _params: (A, B, shifted)
+    )
+    with pytest.raises(ConstructionError, match="construction pieces overlap"):
+        build_small(params, checked=False)
 
 
 def test_unchecked_build_matches_checked():

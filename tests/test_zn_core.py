@@ -668,6 +668,13 @@ def test_json_round_trip():
         {"n": 8, "elements": [True]},
         {"n": 8, "elements": [1.5]},
         {"n": True, "elements": []},
+        # 64 and 65 bytes: the members would be packed by the byte walk,
+        # then by numpy, which casts floats and numeric strings
+        *(
+            {"n": n, "elements": elements}
+            for n in (512, 520)
+            for elements in ([n], [-1], [True], [1.5], [3.0], ["3"], 3)
+        ),
     ],
 )
 def test_json_rejects_malformed(obj):
@@ -693,6 +700,30 @@ def test_json_names_the_first_bad_element(elements, bad):
     with pytest.raises(DomainError) as exc:
         set_from_json({"n": 8, "elements": elements})
     assert str(exc.value) == f"element {bad} outside [0, 8)"
+
+
+@pytest.mark.parametrize("n", [512, 520])  # either side of the 64-byte edge
+@pytest.mark.parametrize(
+    "elements, bad",
+    [
+        ([True], "True"),
+        ([1, 2, True, 9], "True"),
+        ([3, 1.5], "1.5"),
+        ([7, 3.0], "3.0"),
+        ([0, 1, "2"], "'2'"),
+        ([5, None], "None"),
+        ([2, -1, 8], "-1"),
+        ([511, 600], "600"),
+        ([600, 1.5], "600"),
+        ([1, [2]], "[2]"),
+    ],
+)
+def test_json_names_the_first_bad_element_either_side_of_the_packer_edge(
+    n, elements, bad
+):
+    with pytest.raises(DomainError) as exc:
+        set_from_json({"n": n, "elements": elements})
+    assert str(exc.value) == f"element {bad} outside [0, {n})"
 
 
 def test_json_accepts_int_subclasses_and_the_empty_list():
