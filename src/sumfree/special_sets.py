@@ -7,15 +7,17 @@ central-interval construction symmetric, complete and sum-free in the
 proven parameter range.
 
 ``enumerate_special`` finds them by one depth-first search, in-process,
-over the positions 0..2t-1 that carries T, T + T and T + T + T as bit
-masks.  The triple-sum condition holds for every subset of a set that
-satisfies it, so a branch is cut once 2t - 1 lies in T + T + T.  Once the
-positions below x are decided, T + T is final below x, so a branch is also
-cut once some y < x is outside T + T while 2t - 1 - y is decided out, and
-once too few positions remain to reach size t.  Every size-t leaf gets the
-one t-special test, ``st_family._is_special_mask``.  The budget is still
-the projected count C(2t, t) of size-t candidates, although the search
-visits far fewer nodes.
+over the positions 0..2t-1 that carries T, T + T and the mirror of T
+(2t - 1 - T) as bit masks.  2t - 1 is a sum of three members exactly when
+T + T meets the mirror, and the triple-sum condition holds for every
+subset of a set that satisfies it, so a branch is cut once T + T meets
+the mirror.  Once the positions below x are decided, T + T is final
+below x, so a branch is also cut once some y < x is outside T + T while
+2t - 1 - y is decided out, and once too few positions remain to reach
+size t.  Every size-t leaf gets the one t-special test,
+``st_family._is_special_mask``.  The budget is still the projected count
+C(2t, t) of size-t candidates, although the search visits far fewer
+nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from ._bits import mirror
 from ._primes import is_prime
 from .errors import DomainError, ParameterError, require_budget
 from .st_family import TCandidate, _is_special_mask
@@ -69,18 +70,11 @@ def is_t_special(T: TCandidate) -> bool:
     return _is_special_mask(T.mask, T.t)
 
 
-def _with_member(x: int, T: int, T2: int, T3: int) -> Tuple[int, int, int]:
-    """T, T + T and T + T + T (integer sums, as bit masks) after adding x to T."""
-    return (
-        T | 1 << x,
-        T2 | T << x | 1 << 2 * x,
-        T3 | T2 << x | T << 2 * x | 1 << 3 * x,
-    )
-
-
 def _special_dfs(t: int) -> List[int]:
-    """The t-special windows, by a stack of nodes (x, |T|, T, T + T,
-    T + T + T) whose positions below x are decided.
+    """The t-special windows, by a stack of nodes (x, |T|, T, T + T, M)
+    whose positions below x are decided.  M = 2t - 1 - T is the mirror of
+    T within 2t bits, so the node carries T, T + T and the mirror of T,
+    and the node taking x is cut once T + T meets the mirror.
 
     A popped node leaves x out and goes on to x + 1 in place; the node
     that takes x waits on the stack.
@@ -88,7 +82,7 @@ def _special_dfs(t: int) -> List[int]:
     out: List[int] = []
     stack = [(0, 0, 0, 0, 0)]
     while stack:
-        x, size, T, T2, T3 = stack.pop()
+        x, size, T, T2, M = stack.pop()
         if size == t:
             if _is_special_mask(T, t):
                 out.append(T)
@@ -96,14 +90,17 @@ def _special_dfs(t: int) -> List[int]:
         while 2 * t - x >= t - size:
             # a sum below x has both members below x, so T + T is final
             # there; a y < x outside T + T needs 2t - 1 - y in T, and if
-            # that position is already decided out, no completion covers y
+            # that position is already decided out, no completion covers y.
+            # Bits 2t - x .. 2t - 1 of M mirror the decided positions.
             low = (1 << x) - 1
-            if low & ~T2 & mirror(~T & low, 2 * t):
+            if low & ~T2 & ~M & low << (2 * t - x):
                 break
-            U, U2, U3 = _with_member(x, T, T2, T3)
-            # T + T + T only grows, so once it holds 2t - 1 no superset is special
-            if not U3 >> (2 * t - 1) & 1:
-                stack.append((x + 1, size + 1, U, U2, U3))
+            U2 = T2 | T << x | 1 << 2 * x
+            UM = M | 1 << (2 * t - 1 - x)
+            # T + T and the mirror only grow, so once they meet no
+            # superset is special
+            if not U2 & UM:
+                stack.append((x + 1, size + 1, T | 1 << x, U2, UM))
             x += 1
     return out
 
@@ -112,13 +109,14 @@ def enumerate_special(t: int, *, budget: Optional[int] = None) -> SpecialEnumera
     """All t-special sets, by a pruned depth-first search over [0, 2t - 1].
 
     Each node decides whether one position x (0 first) joins T and carries
-    T, T + T and T + T + T as bit masks.  A branch is cut as soon as
-    2t - 1 lies in T + T + T (every superset then fails the triple-sum
-    condition too), some y below x is neither in T + T nor mirrored by a
-    position that can still join T (the coverage condition then fails for
-    every completion), or too few positions remain to reach size t.  Each
-    size-t leaf gets the full t-special test, so the search only skips
-    branches and never accepts a set by itself.
+    T, T + T and the mirror of T as bit masks.  A branch is cut once T + T
+    meets the mirror, that is once 2t - 1 is a sum of three members (every
+    superset then fails the triple-sum condition too), once some y below x
+    is neither in T + T nor mirrored by a position that can still join T
+    (the coverage condition then fails for every completion), or once too
+    few positions remain to reach size t.  Each size-t leaf gets the full
+    t-special test, so the search only skips branches and never accepts a
+    set by itself.
 
     The budget is the projected C(2t, t) size-t candidates, refused up
     front when it exceeds the limit, although the search visits far fewer.

@@ -6,7 +6,8 @@ computes A + B with one wrapped rotation per maximal run of A, as the
 library did before it folded whole progressions of runs.  ``brute_special``
 re-enumerates the t-special windows with plain set arithmetic, and
 ``special_unpruned`` with the depth-first search the library ran before
-it cut branches on the coverage condition;
+it cut branches on the coverage condition, which cuts once 2t - 1 lies
+in T + T + T where the library meets T + T with the mirror of T;
 ``gap_fill_check`` and ``bc_interval_check`` test the two closed-form
 sumset claims of the interval-plus-progression construction, and
 ``five_piece_union`` assembles that construction from its five pieces,
@@ -56,7 +57,7 @@ from sumfree.search_oracle import (
     MaxSumFreeCatalog,
     _pair_orbits,
 )
-from sumfree.special_sets import SpecialEnumeration, _with_member
+from sumfree.special_sets import SpecialEnumeration
 from sumfree.st_family import (
     STParameters,
     TCandidate,
@@ -184,7 +185,12 @@ def _unpruned_dfs(
     if 2 * t - x < t - size:
         return
     _unpruned_dfs(t, x + 1, size, T, T2, T3, out)
-    T, T2, T3 = _with_member(x, T, T2, T3)
+    # T, T + T and T + T + T (integer sums, as bit masks) after adding x
+    T, T2, T3 = (
+        T | 1 << x,
+        T2 | T << x | 1 << 2 * x,
+        T3 | T2 << x | T << 2 * x | 1 << 3 * x,
+    )
     # T + T + T only grows, so once it holds 2t - 1 no superset is special
     if not T3 >> (2 * t - 1) & 1:
         _unpruned_dfs(t, x + 1, size + 1, T, T2, T3, out)

@@ -317,6 +317,19 @@ def test_max_sum_free_matches_search_from_empty(p):
     assert exhaustive_max_sum_free(p, budget=47) == max_sum_free_from_empty(p)
 
 
+@pytest.mark.parametrize("p", [p for p in range(3, 48) if is_prime(p)])
+def test_max_sum_free_catalog_has_the_known_maximum(p):
+    # the largest sum-free subsets of Z_p have (p + 1) // 3 members; for
+    # p = 3k + 2 they are the dilates of the middle third [k + 1, 2k + 1],
+    # which u and -u give alike
+    catalog = exhaustive_max_sum_free(p, budget=47)
+    assert catalog.max_size == (p + 1) // 3
+    for member in catalog.members:
+        assert is_sum_free(member) and member.size == catalog.max_size
+    if p % 3 == 2:
+        assert len(catalog.members) == (p - 1) // 2
+
+
 def test_max_sum_free_rejects_bad_p():
     with pytest.raises(DomainError):
         exhaustive_max_sum_free(9)
