@@ -39,10 +39,11 @@ def shard_ranges(total: int) -> List[range]:
 
     Blocks hold 64 << SHARD_BITS items; past 2**SHARD_BITS blocks they
     grow, in whole words, so there are never more.  A bit-sliced step costs
-    about in proportion to its block's words: at span 2500 the simulation's
-    push takes about 4 us at one word, 50 us at 16 and 0.3 ms at 64 on two
-    shared CPUs.  So a large block saves little per item beyond the fixed
-    cost of each numpy call; what it buys is few shards.
+    about in proportion to its block's words: at span 2500 a simulation
+    step takes about 6 us at one word, where it runs on numpy scalars,
+    45-55 us at 16 and 0.28 ms at 64 on two shared CPUs.  So a large block
+    saves little per item beyond the fixed cost of each numpy call; what it
+    buys is few shards.
     """
     words = -(-total // 64)
     step = 64 * max(1 << SHARD_BITS, -(-words // (1 << SHARD_BITS)))

@@ -7,22 +7,25 @@ random sum-free process of repeatedly joining each non-sum with probability
 one half.  Each claim is checked computationally here, never assumed; the
 graph properties are checked at vertex 0 and extend to every vertex because
 Cayley graphs are vertex-transitive.  The process runs bit-sliced: a block
-of trials shares one pass over the horizon, 64 trials to a uint64 word, and
-each step that can join is a handful of numpy operations on whole rows of
-words.  The steps outside M_S are settled once per chunk of steps, and
-after each chunk a block keeps only the trials still inside M_S once they
-fit in fewer words.
+of trials shares one pass over the horizon, 64 trials to a uint64 word.  A
+step that can join takes its row of joins from its coins and its row of
+sums, then pushes that row onto the sums ahead with two numpy calls; a
+block one word wide steps on 1-D views, so the row is a numpy scalar.  The
+steps outside M_S are settled once per chunk of steps, and after each
+chunk a block keeps only the trials still inside M_S once they fit in
+fewer words.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.random import Philox
 
-from ._bits import bit_positions, rotate
+from ._bits import bit_positions
 from ._parallel import require_workers, run_sharded, shard_ranges
 from ._primes import is_prime
 from .errors import ConstructionError, DomainError, ParameterError
@@ -45,7 +48,7 @@ __all__ = [
 class CayleyGraph:
     """Cay(Z_n, S): vertices Z_n, u ~ v iff u - v lands in S.
 
-    Only S is stored; the neighbourhood of u is S rotated by u, built on
+    Only S is stored; the neighbourhood of u is S shifted by u, listed on
     demand, so nothing here costs O(n^2) bits unless the output does.
     S must omit 0 and be symmetric, so the graph is simple and undirected.
     """
@@ -63,23 +66,27 @@ class CayleyGraph:
     def n(self) -> int:
         return self.generators.modulus
 
-    def _rows_above(self) -> Iterator[Tuple[int, List[int]]]:
-        """Each vertex u with its neighbours v > u, ascending; the row of u
-        is S rotated by u, cut below u + 1."""
-        S, n = self.generators.bits, self.n
+    def _rows_above(self) -> Iterator[Tuple[str, List[str]]]:
+        """The name of each vertex u with the names of its neighbours v > u,
+        ascending: v = u + s for the members s of S below n - u (S omits
+        0).  S is listed and the n names are written once, so a row costs a
+        bisect and one lookup per edge."""
+        members, n = bit_positions(self.generators.bits), self.n
+        names = list(map(str, range(n)))
         for u in range(n):
-            yield u, bit_positions(rotate(S, u, n) >> u + 1 << u + 1)
+            below = members[: bisect_left(members, n - u)]
+            yield names[u], [names[u + s] for s in below]
 
     def to_edge_list(self) -> str:
         return "\n".join(
-            f"{u} " + f"\n{u} ".join(map(str, above))
+            f"{u} " + f"\n{u} ".join(above)
             for u, above in self._rows_above() if above
         )
 
     def to_dot(self) -> str:
         lines = [f"graph cayley_{self.n} {{"]
         lines.extend(
-            f"  {u} -- " + f";\n  {u} -- ".join(map(str, above)) + ";"
+            f"  {u} -- " + f";\n  {u} -- ".join(above) + ";"
             for u, above in self._rows_above() if above
         )
         lines.append("}")
@@ -348,19 +355,22 @@ def _simulate_block(
     The block's trials run in lockstep over z = 1..horizon, trial start + i
     in bit i % 64 of word i // 64.  Row z of joined holds the trials that
     join z and row z of sums those where z is already a sum of two joined
-    elements, so each step is a few operations on whole rows.  Only member
-    steps run one by one: z joins where its coin is up and it is not yet a
-    sum.  A trial leaves M_S at the first non-member z that is free for it,
-    and since lanes never mix, a lane that has left may run on: the alive
-    mask drops it from the tally at the end.  The sums row of a non-member
-    step is final once the step has passed, so the steps run in chunks and
-    each chunk ends by clearing, in one operation, the alive bit of every
-    trial that one of its non-member steps left free.  The first chunk is
-    one coin word, 64 steps, and each later one doubles the steps drawn.
-    The block stops once no trial is left, and when the trials left fit in
-    fewer words it keeps only their lanes and their coin streams.  Memory
-    follows the steps run: sums and joined hold up to twice the steps
-    drawn, and coins only the current chunk.
+    elements.  Only member steps run one by one: z joins where its coin is
+    up and it is not yet a sum, and two numpy calls push the row of joins,
+    making z + j a sum wherever j is joined too.  A block one word wide
+    steps on 1-D views of its one column, so the row is a numpy scalar and a
+    step costs a few scalar operations besides those two calls; a wider
+    block steps on whole rows.  A trial leaves M_S at the first non-member z
+    that is free for it, and since lanes never mix, a lane that has left may
+    run on: the alive mask drops it from the tally at the end.  The sums row
+    of a non-member step is final once the step has passed, so the steps run
+    in chunks and each chunk ends by clearing, in one operation, the alive
+    bit of every trial that one of its non-member steps left free.  The
+    first chunk is one coin word, 64 steps, and each later one doubles the
+    steps drawn.  The block stops once no trial is left, and when the trials
+    left fit in fewer words it keeps only their lanes and their coin
+    streams.  Memory follows the steps run: sums and joined hold up to twice
+    the steps drawn, and coins only the current chunk.
     """
     # a plain-list key would turn a seed of 2**63 or more into a float64,
     # and nearby seeds would share a stream
@@ -384,13 +394,17 @@ def _simulate_block(
         rows = min(horizon, 2 * (drawn + steps))
         # views of the old rows would keep them alive through the copy;
         # the new coins wait until the old sums and joined are gone
-        coins = free = reach = scratch = None
+        coins = free = reach = scratch = sums_view = joined_view = None
         # only the sums of the steps to come and the joins made are kept
         sums = _grown(sums, rows + 1, drawn + 1, lanes)
         joined = _grown(joined[: drawn + 1], rows + 1, 0, lanes)
-        coins = _lane_coins(streams, steps)
+        # a one-word block steps on 1-D views of its one column, so a
+        # step's row is a numpy scalar, not a one-element array
+        column = 0 if len(alive) == 1 else slice(None)
+        sums_view, joined_view = sums[:, column], joined[:, column]
+        coins = _lane_coins(streams, steps)[:, column]
         # min(z, horizon - z) rows at most
-        scratch = np.empty((rows // 2, len(alive)), np.uint64)
+        scratch = np.empty((rows // 2, len(alive)), np.uint64)[:, column]
         first = drawn + 1
         drawn += steps
         outside = []
@@ -398,18 +412,17 @@ def _simulate_block(
             if member_bits is not None and not member_bits >> (z % modulus) & 1:
                 outside.append(z)
                 continue
-            free = joined[z]
-            np.invert(sums[z], out=free)
-            free &= coins[z - first]
+            free = coins[z - first] & ~sums_view[z]
+            joined_view[z] = free
             # z + j is a sum in every trial holding both j and z
             span = min(z, horizon - z)
-            reach = sums[z + 1 : z + 1 + span]
-            reach |= np.bitwise_and(joined[1 : span + 1], free, out=scratch[:span])
+            reach = sums_view[z + 1 : z + 1 + span]
+            reach |= np.bitwise_and(joined_view[1 : span + 1], free, out=scratch[:span])
         if outside:
             # the sums rows of the chunk are final: a trial has left if a
             # non-member step of it had its coin up and was no sum
             outside = np.array(outside)
-            left = ~sums[outside]
+            left = ~sums_view[outside]
             left &= coins[outside - first]
             alive &= ~np.bitwise_or.reduce(left, axis=0)
             if not alive.any():

@@ -357,6 +357,11 @@ ORACLE_RUNS = {
     "repack-top-seed": (150, 300, 2**64 - 1, (2, [1])),
     # a repack after step 64, then a last chunk of 33 steps
     "horizon-mid-chunk": (97, 300, 16, (2, [1])),
+    # blocks of one word from the first step: one lane and 63 padding lanes,
+    # the benchmark's 60 unconditioned trials, and a full word
+    "one-trial": (150, 1, 17, None),
+    "one-word": (150, 60, 18, None),
+    "one-word-odd": (150, 64, 19, (2, [1])),
 }
 
 
@@ -376,7 +381,9 @@ def test_simulation_matches_one_trial_oracle(name):
         assert expected == (0, 0)
 
 
-@pytest.mark.parametrize("name", ["unconditioned", "odd", "z5", "padding-lanes"])
+@pytest.mark.parametrize(
+    "name", ["unconditioned", "odd", "z5", "padding-lanes", "one-word"]
+)
 def test_growing_block_matches_one_trial_oracle(name):
     # at horizon 1500 a block's rows go 128, 256, 512, 1024, 1500, with a
     # coin draw at each, the first of one 64-bit word per trial
@@ -456,6 +463,21 @@ def test_one_block_allocates_little_beyond_its_three_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 16 << 20
+
+
+def test_one_word_block_keeps_no_old_rows_through_the_copy():
+    # 60 trials at N = 50000 are one block of one word; its last chunk
+    # copies sums and joined of 50001 rows each (0.38 MiB apiece) and peaks
+    # at 1.31 MiB, and the step views would keep the old sums alive through
+    # the copy of joined, for 1.55 MiB, if they were not dropped first
+    config = ProcessConfig(horizon=50000, trials=60, seed=1)
+    tracemalloc.start()
+    try:
+        simulate_random_sumfree(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * (1 << 20)
 
 
 def test_block_memory_follows_the_steps_run():
