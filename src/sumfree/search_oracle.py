@@ -9,6 +9,14 @@ exhaustive, so the constructions are tested against them, never the
 other way round.  Both catalogs search the sets that hold 1, one or more
 per unit-dilation orbit, and expand them by the units; those orbits are
 the dilation classes.
+
+The searches cut only subtrees that hold no leaf, so each returns the
+leaves of its uncut tree in the same order.  The catalog search, which
+the probe and the S_T sweep share, cuts a node when the orbits that can
+still join fall short of the size filter, and when some member that no
+later orbit holds cannot lie in the sumset of any leaf below.  The
+maximum-sum-free search cuts a node when, with no two members one apart,
+its candidates cannot reach the best size found so far.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Set, Tuple
 
-from ._bits import bit_positions, bits_from_positions, mirror
+from ._bits import bit_positions, mirror
 from ._parallel import SHARD_BITS, require_workers, run_sharded
 from ._primes import is_prime
 from .errors import (
@@ -72,13 +80,15 @@ class DilationClass:
     orbit_size: int
 
 
-def _dilation_orbit(bits: int, n: int) -> Set[int]:
-    """Bit masks of {u * A : u a unit mod n}, A given by its bit mask.
+def _dilation_orbit(bits: int, tables: List[List[int]]) -> Set[int]:
+    """Bit masks of {u * A : u a unit mod n}, A given by its bit mask and
+    each unit u by its table [1 << (u * x % n) for x in range(n)].
 
-    A's positions are listed once; each unit then packs its products.
+    A's positions are listed once; a dilate is the sum of its table's
+    entries at them, the OR of distinct bits.
     """
     positions = bit_positions(bits)
-    return {bits_from_positions(n, [u * x % n for x in positions]) for u in units(n)}
+    return {sum(map(table.__getitem__, positions)) for table in tables}
 
 
 def _orbit_union(n: int, leaves: List[int]) -> Tuple[Set[int], List[Set[int]]]:
@@ -86,12 +96,15 @@ def _orbit_union(n: int, leaves: List[int]) -> Tuple[Set[int], List[Set[int]]]:
 
     A leaf already claimed by an earlier leaf's orbit adds nothing, so each
     orbit is built once, in the order of the leaves that reach it first.
+    The per-unit tables are built once per call.
     """
+    bit = [1 << x for x in range(n)]
+    tables = [[bit[u * x % n] for x in range(n)] for u in units(n)]
     claimed: Set[int] = set()
     orbits = []
     for leaf in leaves:
         if leaf not in claimed:
-            orbits.append(_dilation_orbit(leaf, n))
+            orbits.append(_dilation_orbit(leaf, tables))
             claimed |= orbits[-1]
     return claimed, orbits
 
@@ -152,31 +165,71 @@ def _scsf_dfs(
     n: int,
     orbits: List[int],
     shifts: List[Tuple[int, int]],
-    suffix: List[int],
+    later: List[int],
     index: int,
     s_bits: int,
     ss_bits: int,
     size_filter: Optional[int],
 ) -> List[int]:
     """The complete sets among S and its sum-free supersets by the orbits
-    from index on; one stack entry per sum-free set."""
+    from index on; one stack entry per sum-free set.
+
+    ``later[i]`` is the union of the orbits from i on.  A node that is not
+    complete is cut when no leaf lies below it, by two tests:
+
+    - size: S + S only grows, so only the orbits of later[index] that miss
+      S + S can still join, and a size filter that S together with all of
+      them falls short of is never met.  The same count over the orbits
+      from i on ends the loop over the children;
+    - coverability: a member y outside S, S + S and later[index] never
+      joins, so a complete leaf below must hold y in its sumset.  That
+      leaf lies in U = S | joinable, so y must lie in U + U.  U is a
+      union of negation orbits, hence symmetric, and y is in U + U iff U
+      meets y + U, one shift and one AND.  After as many shifts as U has
+      run edges, one sumset of U, built by runs, decides the y left: the
+      same test, at a cost bounded by U's runs.
+
+    Neither cut drops a leaf, so the leaves and their order are those of
+    the search without them.
+    """
     full = (1 << n) - 1
     out: List[int] = []
     stack = [(index, s_bits, ss_bits)]
     while stack:
         index, s_bits, ss_bits = stack.pop()
-        if size_filter is not None:
-            size = s_bits.bit_count()
-            if size > size_filter or size + suffix[index] < size_filter:
-                continue
-        if s_bits | ss_bits == full:
+        covered = s_bits | ss_bits
+        if covered == full:
             # complete, so maximal: no orbit can join
-            if size_filter is None or size == size_filter:
+            if size_filter is None or s_bits.bit_count() == size_filter:
                 out.append(s_bits)
             continue
+        joinable = later[index] & ~ss_bits
+        if size_filter is not None:
+            size = s_bits.bit_count()
+            if size > size_filter or size + joinable.bit_count() < size_filter:
+                continue
+        # U holds every leaf below; each member y that never joins and is
+        # not yet covered must lie in U + U, that is U must meet y + U,
+        # which is (U | U << n) >> (n - y).  A shift per y is tried up to
+        # the count of U's run edges, then one sumset by runs tests the rest
+        u_bits = s_bits | joinable
+        wide = u_bits | u_bits << n
+        uncovered = full & ~(covered | later[index])
+        tries = (u_bits ^ u_bits << 1).bit_count()
+        while uncovered and tries:
+            low = uncovered & -uncovered
+            if not wide >> (n - low.bit_length() + 1) & u_bits:
+                break
+            uncovered ^= low
+            tries -= 1
+        if uncovered and (tries or uncovered & ~_sumset_bits(u_bits, u_bits, n)):
+            continue
         for i in range(index, len(orbits)):
-            # the suffix sums fall, so no later orbit reaches the filter either
-            if size_filter is not None and size + suffix[i] < size_filter:
+            # the joinable members from orbit i on only fall as i grows
+            if (
+                size_filter is not None
+                and size + (later[i] & joinable).bit_count() < size_filter
+            ):
                 break
             orbit = orbits[i]
             # S + S only grows, so an orbit it meets never joins below this node
@@ -198,9 +251,21 @@ def _orbit_shifts(orbit: int, n: int) -> Tuple[int, int]:
     return (n - x, n - x) if orbit == 1 << x else (n - x, x)
 
 
+def _search_tables(
+    n: int, orbits: List[int]
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Each orbit's shifts, and later[i], the union of the orbits from i on."""
+    later = [0] * (len(orbits) + 1)
+    for i in range(len(orbits) - 1, -1, -1):
+        later[i] = later[i + 1] | orbits[i]
+    return [_orbit_shifts(orbit, n) for orbit in orbits], later
+
+
 def _scsf_shard(
     n: int,
     orbits: List[int],
+    shifts: List[Tuple[int, int]],
+    later: List[int],
     start: int,
     orbits_prefix_len: int,
     prefix_choice: int,
@@ -210,11 +275,9 @@ def _scsf_shard(
 
     The catalog starts from {1, n - 1} over the other negation orbits and
     from the empty set over the non-unit ones, the S_T equivalence sweep
-    from the central interval over the window orbits.
+    from the central interval over the window orbits.  The shifts and
+    later come from ``_search_tables``, built once per search.
     """
-    suffix = [0] * (len(orbits) + 1)
-    for i in range(len(orbits) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + orbits[i].bit_count()
     s_bits = start
     for i in range(orbits_prefix_len):
         if prefix_choice >> i & 1:
@@ -223,9 +286,8 @@ def _scsf_shard(
     # S and S + S only grow, so a sum-free violation here is permanent
     if s_bits & ss_bits:
         return []
-    shifts = [_orbit_shifts(orbit, n) for orbit in orbits]
     return _scsf_dfs(
-        n, orbits, shifts, suffix, orbits_prefix_len, s_bits, ss_bits, size_filter
+        n, orbits, shifts, later, orbits_prefix_len, s_bits, ss_bits, size_filter
     )
 
 
@@ -250,14 +312,16 @@ def _scsf_search(
 
     Each search is cut on the choices on its first orbits, with one prefix
     bit fewer per doubling of the searches, so the shards number at most
-    2**SHARD_BITS in all and one pool runs them.
+    2**SHARD_BITS in all and one pool runs them.  Each search's shifts
+    and unions of later orbits are built once and shared by its shards.
     """
     bits = SHARD_BITS - (len(searches) - 1).bit_length()
     shards = []
     for orbits, start in searches:
         prefix = min(bits, len(orbits))
+        shifts, later = _search_tables(n, orbits)
         shards += [
-            (n, orbits, start, prefix, choice, size_filter)
+            (n, orbits, shifts, later, start, prefix, choice, size_filter)
             for choice in range(1 << prefix)
         ]
     return [leaf for part in run_sharded(_scsf_shard, shards, workers) for leaf in part]
@@ -282,10 +346,15 @@ def exhaustive_scsf(
     members holding 1, and each is expanded by its unit dilates; one from
     the empty set over the orbits of non-units finds the members holding
     no unit (none for prime n).  The expansion's orbits are the catalog's
-    dilation classes.  Both searches' shards, the choices on their first
-    SHARD_BITS - 1 orbits, go to one sharded call; one worker runs them
-    in-process.  Every member is verified with ``classify``.  A negative
-    size filter is refused: no set has that size.
+    dilation classes, each built from one table per unit.  Both searches'
+    shards, the choices on their first SHARD_BITS - 1 orbits, go to one
+    sharded call; one worker runs them in-process.  A node is cut when S
+    with every later orbit that misses S + S falls short of the size
+    filter, or when a member outside S, S + S and the later orbits lies
+    outside U + U, U being S with those orbits: it never joins, so every
+    complete leaf below would need it in its sumset.  Neither cut drops a
+    member.  Every member, not only the searched ones, is verified with
+    ``classify``.  A negative size filter is refused: no set has that size.
     """
     require_workers(workers)
     if n < 1:
@@ -315,6 +384,14 @@ def _max_sum_free_leaves(p: int) -> List[Tuple[int, int]]:
     that can still join and are untried at that node.  Popping one tries
     its least candidate x: the rest go back on the stack and the child
     S | {x} above them, so the children come in increasing order of x.
+
+    A node is cut when no set below it can reach the best size found so
+    far.  1 is in S, so y and y + 1 never both join; a run of L
+    consecutive candidates gives at most ceil(L / 2) <= L - (L - 1) / 2
+    members, and the candidates at most their count less half their
+    adjacent pairs.  A cut subtree holds only sets smaller than best, which
+    never falls, so the leaves are those of the search that cut only on
+    the count of candidates, in the same order.
     """
     inv2 = pow(2, -1, p)
     best = 0
@@ -324,8 +401,9 @@ def _max_sum_free_leaves(p: int) -> List[Tuple[int, int]]:
     stack = [(0b10, 1 << (p - 1), 1, allowed)]
     while stack:
         s_bits, neg_bits, size, rest = stack.pop()
-        # best may have grown since this entry was pushed
-        if size + rest.bit_count() < best:
+        # best may have grown since this entry was pushed; each adjacent
+        # pair of candidates costs half a member, since 1 is in S
+        if 2 * (size + rest.bit_count()) - (rest & rest >> 1).bit_count() < 2 * best:
             continue
         # a node goes back on the stack only with candidates left, so an
         # empty rest means no element can join: every maximum set shows up
@@ -363,8 +441,9 @@ def exhaustive_max_sum_free(
     the search covers only the sets holding 1 and expands the maximum ones
     by the units 1..p-1; the orbits are the catalog's dilation classes.
     Depth-first over elements in increasing order from {1}, carrying the
-    mask of elements that can still individually join; cardinality against
-    the best size found so far prunes.  The budget is the largest prime
+    mask of elements that can still individually join; a node is pruned
+    when those elements, of which no two adjacent ones both join, cannot
+    reach the best size found so far.  The budget is the largest prime
     accepted.
     """
     limit = DEFAULT_MAX_PRIME if budget is None else budget
@@ -514,9 +593,10 @@ def verify_st_equivalence(
     the catalog search over the 2t window orbits {s + x, n - s - x}, from
     the central interval with size filter s, finds every T whose S_T is
     complete and sum-free.  Each cuts a branch only when no superset can
-    pass (2t - 1 in T + T + T; S_T meets S_T + S_T; |T| > t), so neither
-    takes its verdict from the theorem under test.  The budget counts the
-    4**t windows and is refused up front.  ``workers`` shards the catalog
+    pass (2t - 1 in T + T + T; |T| > t; S_T meets S_T + S_T, cannot reach
+    size s, or misses a member that no completion's sumset can hold), so
+    neither takes its verdict from the theorem under test.  The budget
+    counts the 4**t windows and is refused up front.  ``workers`` shards the catalog
     search; the window search runs in this process.
     """
     require_workers(workers)

@@ -11,6 +11,7 @@ against the skip/take recursion it replaced, and the maximum-sum-free
 loop, leaf by leaf and in order, against the recursion it replaced.
 """
 
+import random
 import sys
 
 import pytest
@@ -33,9 +34,11 @@ from sumfree.errors import BudgetExceededError, DomainError, ParameterError
 from sumfree.search_oracle import (
     _catalog_searches,
     _max_sum_free_leaves,
+    _orbit_union,
     _pair_orbits,
     _scsf_search,
     _scsf_shard,
+    _search_tables,
     _window_search,
     characterization_probe,
     exhaustive_max_sum_free,
@@ -48,6 +51,7 @@ from sumfree.zn_core import (
     classify,
     dilate,
     is_sum_free,
+    negate,
     units,
 )
 
@@ -131,9 +135,9 @@ def test_each_dilation_orbit_is_built_once(monkeypatch):
     honest = search_oracle._dilation_orbit
     built = []
 
-    def counting(bits, n):
+    def counting(bits, tables):
         built.append(bits)
-        return honest(bits, n)
+        return honest(bits, tables)
 
     monkeypatch.setattr(search_oracle, "_dilation_orbit", counting)
     catalog = exhaustive_scsf(40)
@@ -141,6 +145,23 @@ def test_each_dilation_orbit_is_built_once(monkeypatch):
     built.clear()
     catalog = exhaustive_max_sum_free(43)
     assert len(built) == len(catalog.classes) > 1
+
+
+def test_orbit_union_matches_dilate_per_unit():
+    # the per-unit tables against one zn_core.dilate per unit, on masks
+    # that negation moves, so that u and -u give different dilates
+    rng = random.Random(30)
+    for n in range(1, 71):
+        masks = []
+        while len(masks) < 3:
+            a = CyclicSet(n, rng.getrandbits(n))
+            if n <= 2 or negate(a) != a:
+                masks.append(a)
+        expected = [{dilate(a, u).bits for u in units(n)} for a in masks]
+        for a, orbit in zip(masks, expected):
+            assert _orbit_union(n, [a.bits]) == (orbit, [orbit]), (n, a)
+        claimed, _ = _orbit_union(n, [a.bits for a in masks])
+        assert claimed == set().union(*expected), n
 
 
 @pytest.mark.parametrize("n", range(1, 57))
@@ -166,7 +187,7 @@ def test_catalog_matches_search_over_all_orbits(monkeypatch, n):
         assert filtered == search_oracle.Catalog(n, s, members, classes)
 
 
-@pytest.mark.parametrize("n", range(1, 61))
+@pytest.mark.parametrize("n", [*range(1, 61), 64, 68])
 def test_catalog_leaves_match_skip_take_oracle(n):
     for orbits, start in _catalog_searches(n):
         expected = scsf_skip_take(n, orbits, start)
@@ -179,7 +200,9 @@ def test_catalog_leaves_match_skip_take_oracle(n):
 
 
 def test_window_leaves_match_skip_take_oracle():
-    for n, s in theorem_valid_pairs():
+    # the theorem-valid pairs, then st equiv at t = 12 (n = 14t - 1, s = 4t),
+    # where the coverability cut drops most of the nodes
+    for n, s in theorem_valid_pairs() + [(167, 48)]:
         orbits, central = _window_search(n, s, (n - 3 * s + 1) // 2)
         for size_filter in (s, None):
             leaves = _scsf_search(n, [(orbits, central)], size_filter, 1)
@@ -203,7 +226,9 @@ def test_catalog_workers_agree():
     for n in range(1, 31):
         for size_filter in (None, 4, 6):
             single = exhaustive_scsf(n, size_filter)
-            unsharded = sorted(_scsf_shard(n, _pair_orbits(n), 0, 0, 0, size_filter))
+            orbits = _pair_orbits(n)
+            shard = (n, orbits, *_search_tables(n, orbits), 0, 0, 0, size_filter)
+            unsharded = sorted(_scsf_shard(*shard))
             assert [m.bits for m in single.members] == unsharded
             assert exhaustive_scsf(n, size_filter, workers=3) == single
 
@@ -311,10 +336,10 @@ def test_max_sum_free_classes_match_per_member_oracle(p):
     assert catalog.classes == classes_per_member(catalog.members)
 
 
-@pytest.mark.parametrize("p", [p for p in range(3, 48) if is_prime(p)])
+@pytest.mark.parametrize("p", [p for p in range(3, 54) if is_prime(p)])
 def test_max_sum_free_matches_search_from_empty(p):
-    # p = 47 is past the default budget
-    assert exhaustive_max_sum_free(p, budget=47) == max_sum_free_from_empty(p)
+    # p = 47 and 53 are past the default budget
+    assert exhaustive_max_sum_free(p, budget=53) == max_sum_free_from_empty(p)
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 48) if is_prime(p)])
@@ -357,7 +382,8 @@ def test_catalog_search_takes_a_chain_of_every_orbit():
     assert len(orbits) == m + 1
     middle = sum(orbits)
     assert middle == ((1 << (2 * m + 1)) - 1) << (2 * m + 1)
-    assert _scsf_shard(n, orbits, 0, 0, 0, middle.bit_count()) == [middle]
+    shard = (n, orbits, *_search_tables(n, orbits), 0, 0, 0, middle.bit_count())
+    assert _scsf_shard(*shard) == [middle]
     assert _scsf_search(n, [(orbits, 0)], middle.bit_count(), 1) == [middle]
 
 
