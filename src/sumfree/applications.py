@@ -13,7 +13,10 @@ sums, then pushes that row onto the sums ahead with two numpy calls; a
 block one word wide steps on 1-D views, so the row is a numpy scalar.  The
 steps outside M_S are settled once per chunk of steps, and after each
 chunk a block keeps only the trials still inside M_S once they fit in
-fewer words.
+fewer words.  A trial's coins are the words of its own Philox4x64-10
+stream keyed (seed, trial); the generator is counter-based, so one array
+computation draws the words of every lane of a block, and numpy.random is
+never loaded.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-from numpy.random import Philox
 
 from ._bits import bit_positions
 from ._parallel import require_workers, run_sharded, shard_ranges
@@ -276,31 +278,98 @@ def _transpose_words(rows: np.ndarray) -> None:
         low ^= swap << shift
 
 
-def _lane_coins(streams: List[Philox], steps: int) -> np.ndarray:
-    """The next steps coins of every stream, bit-sliced.
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011): the round multipliers of counter words 0 and 2, split into
+# 32-bit halves as (half, multiplier, 1), and the key's per-round increments
+_PHILOX_MASK32 = 0xFFFFFFFF
+_PHILOX_MULTIPLIERS = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_HALVES = np.stack([_PHILOX_MULTIPLIERS & _PHILOX_MASK32, _PHILOX_MULTIPLIERS >> 32])
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+# counter blocks of four words computed per pass; the temporaries of a
+# pass take about 0.3 MiB
+_PHILOX_SLAB = 1024
+# the coin words a block draws at a time, in bytes, whatever its lane count
+_COIN_BUFFER_BYTES = 64 << 10
 
-    Bit i of word w in row j is the next coin but j of trial 64 w + i of the
-    block; the padding lanes past the last stream are zero.  A trial's coins
-    are the bits of its own Philox stream keyed by (seed, trial), the bits
-    of Generator(Philox(key=[seed, trial])).bytes in order, so any sharding
-    of the trials yields identical coins.  Each stream gives whole 64-bit
-    words, so steps is a multiple of 64 except on the last call, and every
-    call continues the streams where the one before stopped.  The 64
-    streams of one word are transposed together, so nothing larger than
-    the result is built.
+
+def _philox_words(seed: int, trials: np.ndarray, first_word: int, count: int) -> np.ndarray:
+    """Words first_word .. first_word + count - 1 of every trial's stream.
+
+    Row i is the stream of Philox4x64-10 keyed (seed, trials[i]), as
+    numpy's Philox(key=[seed, trial]).random_raw gives it: word w is element
+    w % 4 of the block at counter (w // 4 + 1, 0, 0, 0).  The generator is
+    counter-based, so each block is a pure function of its key and counter,
+    and all the blocks asked for run as columns of one array computation,
+    at most _PHILOX_SLAB at a time.  Each round's two 64 x 64 -> 128-bit
+    products run together, from the 32-bit halves of the two counter words.
+    The result may be a view into a few more words per row.
     """
-    words = -(-len(streams) // 64)
-    chunks = -(-steps // 64)
-    coins = np.empty((steps, words), np.uint64)
-    rows = np.empty((64, chunks), np.uint64)
-    for word in range(words):
-        lanes = streams[64 * word : 64 * word + 64]
-        rows[: len(lanes)] = [stream.random_raw(chunks) for stream in lanes]
-        rows[len(lanes):] = 0
-        _transpose_words(rows)
-        # row j of chunk c now holds coin 64 c + j of every lane
-        coins[:, word] = rows.T.reshape(-1)[:steps]
-    return coins
+    skip = first_word % 4
+    blocks = -(-(skip + count) // 4)
+    out = np.empty((len(trials), 4 * blocks), np.uint64)
+    # column c is block c % blocks of trial c // blocks
+    columns = out.reshape(-1, 4)
+    for lo in range(0, len(columns), _PHILOX_SLAB):
+        index = np.arange(lo, min(lo + _PHILOX_SLAB, len(columns)), dtype=np.uint64)
+        key = np.empty((2, len(index)), np.uint64)
+        key[0] = seed
+        key[1] = trials[index // np.uint64(blocks)]
+        # even holds counter words 0 and 2, the multiplied ones; odd 1 and 3
+        even = np.zeros_like(key)
+        even[0] = index % np.uint64(blocks) + np.uint64(first_word // 4 + 1)
+        odd = np.zeros_like(key)
+        halves = np.empty((2, 1) + key.shape, np.uint64)
+        part = np.empty((2, 2) + key.shape, np.uint64)
+        for round_ in range(10):
+            if round_:
+                key += _PHILOX_BUMP
+            np.bitwise_and(even, _PHILOX_MASK32, out=halves[0, 0])
+            np.right_shift(even, 32, out=halves[1, 0])
+            # part[i, j] is half i of the words times half j of the multipliers
+            np.multiply(halves, _PHILOX_HALVES, out=part)
+            # the high word of each product, by the carries of its cross terms
+            high = part[0, 0] >> 32
+            high += part[1, 0]
+            middle = high & _PHILOX_MASK32
+            middle += part[0, 1]
+            middle >>= 32
+            high >>= 32
+            high += part[1, 1]
+            high += middle
+            # words (hi1 ^ w1 ^ k0, lo1, hi0 ^ w3 ^ k1, lo0)
+            low = even * _PHILOX_MULTIPLIERS
+            even = high[::-1]
+            even ^= odd
+            even ^= key
+            odd = low[::-1]
+        block = columns[lo : lo + len(index)]
+        block[:, 0::2] = even.T
+        block[:, 1::2] = odd.T
+    return out[:, skip : skip + count]
+
+
+def _lane_coins(words: np.ndarray, steps: int) -> np.ndarray:
+    """steps coins of every lane, bit-sliced, from its stream words.
+
+    Row i of words holds the next stream words of lane i of the block.  Bit
+    i of word w in row j of the result is coin j of lane 64 w + i, and the
+    padding lanes past the last row are zero.  A trial's coins are the bits
+    of its stream's words in order, the bits of
+    Generator(Philox(key=[seed, trial])).bytes, so any sharding of the
+    trials yields identical coins.  The words of every 64 lanes are
+    transposed together, as one array of 64 x 64 bit blocks.
+    """
+    lanes, chunks = words.shape
+    full, rest = divmod(lanes, 64)
+    rows = np.zeros((64, -(-lanes // 64), chunks), np.uint64)
+    # rows[j, g] holds the words of lane 64 g + j
+    by_group = rows.transpose(1, 0, 2)
+    by_group[:full] = words[: 64 * full].reshape(full, 64, chunks)
+    if rest:
+        by_group[full, :rest] = words[64 * full :]
+    _transpose_words(rows.reshape(64, -1))
+    # row j of group g and chunk c now holds coin 64 c + j of its 64 lanes
+    return rows.transpose(2, 0, 1).reshape(64 * chunks, -1)[:steps]
 
 
 def _lane_bits(words: np.ndarray) -> np.ndarray:
@@ -368,16 +437,18 @@ def _simulate_block(
     bit of every trial that one of its non-member steps left free.  The
     first chunk is one coin word, 64 steps, and each later one doubles the
     steps drawn.  The block stops once no trial is left, and when the trials
-    left fit in fewer words it keeps only their lanes and their coin
-    streams.  Memory follows the steps run: sums and joined hold up to twice
-    the steps drawn, and coins only the current chunk.
+    left fit in fewer words it keeps only their lanes.  The coins come from
+    a buffer of stream words, one row per lane, that _philox_words refills
+    about _COIN_BUFFER_BYTES at a time, and never past the horizon; a repack
+    keeps the buffer rows of the lanes it keeps, so no word of a trial is
+    drawn twice and none is drawn once the trial is dropped.  Memory follows
+    the steps run: sums and joined hold up to twice the steps drawn, and
+    coins the current chunk and the buffer.
     """
-    # a plain-list key would turn a seed of 2**63 or more into a float64,
-    # and nearby seeds would share a stream
-    streams = [
-        Philox(key=np.array([seed, trial], np.uint64))
-        for trial in range(start, start + count)
-    ]
+    trials = np.arange(start, start + count, dtype=np.uint64)
+    # the stream words not yet used: row i starts at word drawn // 64 of the
+    # stream of trials[i]
+    buffer = np.empty((count, 0), np.uint64)
     alive = _first_lanes(count)
     sums = joined = np.zeros((1, len(alive)), np.uint64)
     drawn = 0
@@ -387,7 +458,7 @@ def _simulate_block(
         if -(-live // 64) < len(alive):
             # the trials left fit in fewer words: keep only their lanes
             lanes = np.flatnonzero(_lane_bits(alive))
-            streams = [streams[lane] for lane in lanes]
+            trials, buffer = trials[lanes], buffer[lanes]
             alive = _first_lanes(live)
         steps = min(horizon, max(64, 2 * drawn)) - drawn
         # step z writes sums up to row min(2z, horizon)
@@ -402,7 +473,21 @@ def _simulate_block(
         # step's row is a numpy scalar, not a one-element array
         column = 0 if len(alive) == 1 else slice(None)
         sums_view, joined_view = sums[:, column], joined[:, column]
-        coins = _lane_coins(streams, steps)[:, column]
+        chunks = -(-steps // 64)
+        if not buffer.size:
+            # the words drawn are used up: draw this chunk's, and those of
+            # each later chunk while the buffer size holds them all, at 64
+            # steps to a lane's 8-byte word
+            capacity = 8 * _COIN_BUFFER_BYTES // len(trials)
+            end = drawn + steps
+            while end < horizon and 2 * end - drawn <= capacity:
+                end *= 2
+            words = -(-min(end, horizon) // 64) - drawn // 64
+            # the used-up array goes before the new one comes
+            buffer = None
+            buffer = _philox_words(seed, trials, drawn // 64, words)
+        coins = _lane_coins(buffer[:, :chunks], steps)[:, column]
+        buffer = buffer[:, chunks:]
         # min(z, horizon - z) rows at most
         scratch = np.empty((rows // 2, len(alive)), np.uint64)[:, column]
         first = drawn + 1
@@ -415,7 +500,7 @@ def _simulate_block(
             free = coins[z - first] & ~sums_view[z]
             joined_view[z] = free
             # z + j is a sum in every trial holding both j and z
-            span = min(z, horizon - z)
+            span = z if z < horizon - z else horizon - z
             reach = sums_view[z + 1 : z + 1 + span]
             reach |= np.bitwise_and(joined_view[1 : span + 1], free, out=scratch[:span])
         if outside:

@@ -8,7 +8,7 @@ check, with a structured error payload; 2 is argparse's usage failure.
 Asymptotic-claim and hypothesis flags are data, never exit conditions.
 
 The three handlers that need ``applications`` import it when they run, so
-the other commands never load it or the numpy.random it brings.
+the other commands never load it.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ bit-sliced process is checked against the one-trial-at-a-time oracle.
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
+from numpy.random import Philox
 
 from sumfree import applications
 from sumfree.applications import (
@@ -401,16 +403,26 @@ def test_growing_block_matches_one_trial_oracle(name):
 
 
 def _coin_draws(monkeypatch):
-    """Record the streams and the steps of every _lane_coins call."""
+    """Record the trials, the first word and the word count of every
+    _philox_words call, and check each call's words against numpy's Philox."""
     draws = []
-    lane_coins = applications._lane_coins
+    philox_words = applications._philox_words
 
-    def recorded(streams, steps):
-        draws.append((list(streams), steps))
-        return lane_coins(streams, steps)
+    def recorded(seed, trials, first_word, count):
+        draws.append((trials.copy(), first_word, count))
+        return philox_words(seed, trials, first_word, count)
 
-    monkeypatch.setattr(applications, "_lane_coins", recorded)
+    monkeypatch.setattr(applications, "_philox_words", recorded)
     return draws
+
+
+def _words_drawn(draws):
+    """trial -> the stream words drawn for it, in the order drawn."""
+    words = {}
+    for trials, first, count in draws:
+        for trial in trials.tolist():
+            words.setdefault(trial, []).extend(range(first, first + count))
+    return words
 
 
 @pytest.mark.parametrize(
@@ -420,7 +432,8 @@ def _coin_draws(monkeypatch):
 )
 def test_coins_are_drawn_for_the_trials_left(monkeypatch, name):
     # after each chunk the block keeps the trials that have not left when
-    # they fit in fewer words, and every trial otherwise
+    # they fit in fewer words, and every trial otherwise; a buffer of one
+    # word per lane makes each chunk draw its own words in one call
     horizon, trials, seed, conditioning = ORACLE_RUNS[name]
     conditioning = mk(*conditioning)
     modulus, member_bits = conditioning.modulus, conditioning.bits
@@ -428,26 +441,110 @@ def test_coins_are_drawn_for_the_trials_left(monkeypatch, name):
         _run_trial(horizon, seed, trial, modulus, member_bits)[0]
         for trial in range(trials)
     ]
+    monkeypatch.setattr(applications, "_COIN_BUFFER_BYTES", 8)
     recorded = _coin_draws(monkeypatch)
     simulate_random_sumfree(ProcessConfig(horizon, trials, seed, conditioning))
-    # a stream's key is (seed, trial)
-    draws = [
-        ([int(stream.state["state"]["key"][1]) for stream in streams], steps)
-        for streams, steps in recorded
-    ]
-    assert draws[0] == (list(range(trials)), min(64, horizon))
-    drawn = 0
+    draws = [(trials.tolist(), first, count) for trials, first, count in recorded]
+    assert draws[0] == (list(range(trials)), 0, 1)
     repacks = 0
-    for (before, steps), (after, _) in zip(draws, draws[1:]):
-        drawn += steps
+    ran = dict.fromkeys(range(trials), -(-horizon // 64))
+    for (before, first, count), (after, following, _) in zip(draws, draws[1:]):
+        # the chunks follow on, and the next one starts at step 64 * following
+        assert following == first + count
+        drawn = 64 * following
         live = [t for t in before if left_at[t] is None or left_at[t] > drawn]
         if -(-len(live) // 64) < -(-len(before) // 64):
             assert after == live
             repacks += 1
+            ran.update((t, following) for t in set(before) - set(live))
         else:
             assert after == before
-    assert drawn + draws[-1][1] == horizon
+    last, count = draws[-1][1:]
+    assert 64 * (last + count - 1) < horizon <= 64 * (last + count)
     assert repacks == (2 if name == "two-repacks" else 1)
+    # each trial's words are drawn once, in order, up to the steps it ran
+    assert _words_drawn(recorded) == {t: list(range(words)) for t, words in ran.items()}
+
+
+@pytest.mark.parametrize(
+    "horizon, trials, seed, conditioning, calls",
+    [(5000, 60, 1, None, 1), (5000, 200, 1, (2, [1]), 2), (5000, 200, 2, (2, [1]), 2)],
+)
+def test_small_requests_draw_their_coins_in_few_calls(
+    monkeypatch, horizon, trials, seed, conditioning, calls
+):
+    # the buffer takes about 64 KiB of words a call, so 60 trials draw all
+    # 79 words of N = 5000 at once, and 200 trials 32 words each before the
+    # trials still inside the odd residues draw the rest
+    if conditioning is not None:
+        conditioning = mk(*conditioning)
+    draws = _coin_draws(monkeypatch)
+    simulate_random_sumfree(ProcessConfig(horizon, trials, seed, conditioning))
+    assert len(draws) == calls
+    assert draws[0][0].tolist() == list(range(trials))
+    for (before, _, _), (after, _, _) in zip(draws, draws[1:]):
+        assert set(after.tolist()) < set(before.tolist())
+    # no word is drawn twice or past the horizon's last word
+    for words in _words_drawn(draws).values():
+        assert words == list(range(len(words)))
+        assert len(words) <= -(-horizon // 64)
+
+
+PHILOX_SEEDS = [0, 7, 2**63, 2**64 - 1]
+PHILOX_TRIALS = [0, 1, 2**40 - 1, 2**40, 2**40 + 1, 2**64 - 1]
+
+
+def _numpy_words(seed, trial, first_word, count):
+    """Words first_word.. of numpy's Philox stream keyed (seed, trial)."""
+    stream = Philox(key=np.array([seed, trial], np.uint64))
+    return stream.random_raw(first_word + count)[first_word:].tolist()
+
+
+@pytest.mark.parametrize("slab", [3, applications._PHILOX_SLAB])
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
+def test_philox_words_match_numpy(monkeypatch, seed, slab):
+    # first words on either side of a counter block, and a slab of 3 blocks
+    # that ends inside a trial's row
+    monkeypatch.setattr(applications, "_PHILOX_SLAB", slab)
+    trials = np.array(PHILOX_TRIALS, np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for first, count in [(0, 1), (1, 3), (2, 2), (3, 9), (4, 4), (6, 41), (1021, 7)]:
+            words = applications._philox_words(seed, trials, first, count)
+            assert words.shape == (len(trials), count)
+            for row, trial in zip(words.tolist(), PHILOX_TRIALS):
+                assert row == _numpy_words(seed, trial, first, count)
+
+
+@pytest.mark.parametrize("buffer_bytes", [8, 8 << 10])
+@pytest.mark.parametrize("name", ["odd", "two-repacks", "repack-top-seed"])
+def test_streams_continue_across_refills_and_repacks(monkeypatch, name, buffer_bytes):
+    # every kernel call of a block continues each stream it draws where the
+    # trial's last call stopped, whether the lanes were repacked in between;
+    # 8 KiB hold 128 steps of 300 lanes, so a repack after step 64 takes
+    # buffer rows that still hold a word, and step 129 on is a second call
+    horizon, trials, seed, conditioning = ORACLE_RUNS[name]
+    monkeypatch.setattr(applications, "_COIN_BUFFER_BYTES", buffer_bytes)
+    calls = []
+    philox_words = applications._philox_words
+
+    def recorded(seed, trials, first_word, count):
+        words = philox_words(seed, trials, first_word, count)
+        calls.append((trials.tolist(), first_word, words.tolist()))
+        return words
+
+    monkeypatch.setattr(applications, "_philox_words", recorded)
+    simulate_random_sumfree(ProcessConfig(horizon, trials, seed, mk(*conditioning)))
+    # trial -> (its numpy stream, the first word not yet drawn from it)
+    streams = {}
+    for trials, first_word, words in calls:
+        for trial, row in zip(trials, words):
+            stream, next_word = streams.get(trial, (None, 0))
+            stream = stream or Philox(key=np.array([seed, trial], np.uint64))
+            assert first_word == next_word
+            assert stream.random_raw(len(row)).tolist() == row
+            streams[trial] = stream, first_word + len(row)
+    assert len(calls) > 1
 
 
 def test_one_block_allocates_little_beyond_its_three_arrays():
@@ -510,6 +607,9 @@ def test_block_repacked_late_stays_within_the_same_memory(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    counts = [len(streams) for streams, _ in draws]
-    assert counts[:5] == [4096] * 5 and counts[5] <= 4096 - 64
+    # the full block draws every word of its first 1024 steps, and fewer
+    # trials draw the words after them
+    assert sum(count for trials, first, count in draws if len(trials) == 4096) == 16
+    later = [len(trials) for trials, first, _ in draws if first >= 16]
+    assert later[0] <= 4096 - 64
     assert peak <= 16 << 20

@@ -377,6 +377,17 @@ def test_import_loads_only_the_layers_below(module):
     }
 
 
+def test_simulation_loads_numpy_but_not_numpy_random():
+    # the coin streams come from the package's own Philox kernel, so a
+    # simulation needs numpy's arrays but not its generators
+    loaded = _modules_after(
+        "from sumfree.applications import ProcessConfig, simulate_random_sumfree\n"
+        "simulate_random_sumfree(ProcessConfig(200, 70, 1))"
+    )
+    assert "numpy" in loaded
+    assert "numpy.random" not in loaded
+
+
 def _calls_itself(func):
     """Whether func calls its own name, as f(...), self.f(...) or cls.f(...);
     super().f(...) calls another class's f."""
@@ -529,7 +540,7 @@ MINIMUM_PYTHON = (3, 10)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PYTHON_SOURCES = sorted(
     path
-    for directory in ("src/sumfree", "tests", "perfbench")
+    for directory in ("src/sumfree", "tests", "perfbench", "bench")
     for path in (ROOT / directory).rglob("*.py")
 )
 
