@@ -476,7 +476,8 @@ def _simulate_block(
         chunks = -(-steps // 64)
         if not buffer.size:
             # the words drawn are used up: draw this chunk's, and those of
-            # each later chunk while the buffer size holds them all, at 64
+            # the chunks after it, each ending at twice the step where the
+            # one before ends, while the buffer size holds them all at 64
             # steps to a lane's 8-byte word
             capacity = 8 * _COIN_BUFFER_BYTES // len(trials)
             end = drawn + steps
