@@ -5,7 +5,11 @@
 Each row is one library call at the scale where a kernel change shows: a
 200-trial and a 60-trial `simulate cameron` request at N = 5000, one full
 4096-trial block, the criterion-11 run (20000 trials, one worker), and the
-Cayley properties and edge export of the n = 749 ladder rung.  Each of
+Cayley properties and edge export of the n = 749 ladder rung.  Two more
+200-trial requests at N = 5000 cover both sides of the simulator's choice
+of path: the residues 1..99 mod 100 are not sum-free, so their blocks push
+sums step by step, and {1, 4} mod 5 is sum-free, so its blocks search for
+witnesses as the odd residues' do.  Each of
 ROUNDS rounds starts a fresh interpreter for the package under src/ beside
 this script and one for the tree given by --baseline (a directory holding
 a sumfree package, such as a checkout's src/), the two in alternating
@@ -44,6 +48,8 @@ def _rows():
     from sumfree.zn_core import CyclicSet
 
     odd = CyclicSet.from_elements(2, [1])
+    push = CyclicSet.from_elements(100, range(1, 100))
+    mod5 = CyclicSet.from_elements(5, [1, 4])
     graph = cayley_graph(build_small(size_ladder(749).rungs[0]))
 
     def simulate(*config):
@@ -55,6 +61,8 @@ def _rows():
         "simulate.request_60": lambda: simulate(5000, 60, 1),
         "simulate.block_4096_odd": lambda: simulate(5000, 4096, 7, odd),
         "simulate.criterion_11": lambda: simulate(5000, 20000, 7, odd),
+        "simulate.request_200_push": lambda: simulate(5000, 200, 1, push),
+        "simulate.request_200_mod5": lambda: simulate(5000, 200, 1, mod5),
         "cayley.properties_749": lambda: list(vars(graph_properties(graph)).values()),
         "cayley.edges_749": lambda: len(graph.to_edge_list()),
     }

@@ -7,13 +7,21 @@ random sum-free process of repeatedly joining each non-sum with probability
 one half.  Each claim is checked computationally here, never assumed; the
 graph properties are checked at vertex 0 and extend to every vertex because
 Cayley graphs are vertex-transitive.  The process runs bit-sliced: a block
-of trials shares one pass over the horizon, 64 trials to a uint64 word.  A
-step that can join takes its row of joins from its coins and its row of
-sums, then pushes that row onto the sums ahead with two numpy calls; a
-block one word wide steps on 1-D views, so the row is a numpy scalar.  The
-steps outside M_S are settled once per chunk of steps, and after each
-chunk a block keeps only the trials still inside M_S once they fit in
-fewer words.  A trial's coins are the words of its own Philox4x64-10
+of trials shares one pass over the horizon, 64 trials to a uint64 word.
+Unconditioned, or conditioned on an S that is not sum-free, a step that
+can join takes its row of joins from its coins and its row of sums, then
+pushes that row onto the sums ahead with two numpy calls; a block one
+word wide steps on 1-D views, so the row is a numpy scalar.  When S is
+sum-free mod n, as the odd residues are, no member of M_S is ever a sum in
+a trial still inside M_S, because (S + S) misses S: such a trial joins
+exactly the members whose coin is up, and only a non-member whose coin is
+up can end containment, when no pair (i, z - i) of joined elements sums
+to it.  So those blocks run no steps: a chunk's member rows of joins are
+its coins, and one search over all its non-member steps looks for such
+witness pairs in windows of i that double in size.  The steps outside M_S
+are settled once per chunk of steps, and after each chunk a block keeps
+only the trials still inside M_S once they fit in fewer words.  A trial's
+coins are the words of its own Philox4x64-10
 stream keyed (seed, trial); the generator is counter-based, so one array
 computation draws the words of every lane of a block, and numpy.random is
 never loaded.
@@ -411,6 +419,50 @@ def _first_lanes(count: int) -> np.ndarray:
     return words
 
 
+# the bytes one witness gather takes at a time, joined rows and their
+# indices, whatever the block's width
+_WITNESS_SLAB_BYTES = 128 << 10
+
+
+def _unwitnessed(joined: np.ndarray, targets: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """The lanes of need[r] where targets[r] is no sum of two joined rows.
+
+    A witness for a lane of row r is a pair (i, targets[r] - i), i >= 1,
+    with both rows of joined holding that lane; the rows read all lie below
+    targets[r].  The search runs over all the rows at once, taking i in
+    windows of 16, 32, 64, ... values, and each window clears the lanes it
+    witnesses.  A row with no lane left drops out, and so does a row whose
+    i has passed targets[r] / 2, keeping the lanes left, since a pair with
+    a larger i repeats one already tried.  A window may take such pairs for
+    some rows, and a partner below 1 reads row 0, which is empty, so
+    neither finds a false witness.  The gathered rows and their indices
+    take at most about _WITNESS_SLAB_BYTES at a time: windows stop growing
+    there, and the rows of a window are gathered in slabs under it.
+    """
+    need = need.copy()
+    # a pair's partner row and its index
+    pair_bytes = 8 * joined.shape[1] + 8
+    widest = max(1, _WITNESS_SLAB_BYTES // pair_bytes)
+    rows = np.arange(len(targets))
+    lo, width = 1, min(16, widest)
+    while True:
+        # rows with a lane left and an i not yet tried up to targets / 2
+        rows = rows[need[rows].any(axis=1) & (targets[rows] // 2 >= lo)]
+        if not len(rows):
+            return need
+        hi = min(lo + width, int(targets[rows].max()) // 2 + 1)
+        firsts = joined[lo:hi]
+        slab = max(1, _WITNESS_SLAB_BYTES // (pair_bytes * (hi - lo)))
+        for at in range(0, len(rows), slab):
+            part = rows[at : at + slab]
+            partners = targets[part, None] - np.arange(lo, hi)
+            np.maximum(partners, 0, out=partners)
+            pairs = joined[partners]
+            pairs &= firsts
+            need[part] &= ~np.bitwise_or.reduce(pairs, axis=1)
+        lo, width = hi, min(2 * width, widest)
+
+
 def _simulate_block(
     horizon: int,
     seed: int,
@@ -418,31 +470,47 @@ def _simulate_block(
     count: int,
     modulus: Optional[int],
     member_bits: Optional[int],
+    sum_free: bool,
 ) -> Tuple[int, int]:
     """(contained trials, total joined among contained) for one block.
 
     The block's trials run in lockstep over z = 1..horizon, trial start + i
     in bit i % 64 of word i // 64.  Row z of joined holds the trials that
-    join z and row z of sums those where z is already a sum of two joined
-    elements.  Only member steps run one by one: z joins where its coin is
-    up and it is not yet a sum, and two numpy calls push the row of joins,
-    making z + j a sum wherever j is joined too.  A block one word wide
-    steps on 1-D views of its one column, so the row is a numpy scalar and a
-    step costs a few scalar operations besides those two calls; a wider
-    block steps on whole rows.  A trial leaves M_S at the first non-member z
-    that is free for it, and since lanes never mix, a lane that has left may
-    run on: the alive mask drops it from the tally at the end.  The sums row
-    of a non-member step is final once the step has passed, so the steps run
-    in chunks and each chunk ends by clearing, in one operation, the alive
+    join z.  A trial leaves M_S at the first non-member z that is free for
+    it, and since lanes never mix, a lane that has left may run on: the
+    alive mask drops it from the tally at the end.  The steps run in
+    chunks, and each chunk ends by clearing, in one operation, the alive
     bit of every trial that one of its non-member steps left free.  The
     first chunk is one coin word, 64 steps, and each later one doubles the
     steps drawn.  The block stops once no trial is left, and when the trials
-    left fit in fewer words it keeps only their lanes.  The coins come from
-    a buffer of stream words, one row per lane, that _philox_words refills
-    about _COIN_BUFFER_BYTES at a time, and never past the horizon; a repack
-    keeps the buffer rows of the lanes it keeps, so no word of a trial is
-    drawn twice and none is drawn once the trial is dropped.  Memory follows
-    the steps run: sums and joined hold up to twice the steps drawn, and
+    left fit in fewer words it keeps only their lanes.
+
+    Unconditioned, or when S is not sum-free, row z of sums holds the
+    trials where z is already a sum of two joined elements, and only member
+    steps run one by one: z joins where its coin is up and it is not yet a
+    sum, and two numpy calls push the row of joins, making z + j a sum
+    wherever j is joined too.  A block one word wide steps on 1-D views of
+    its one column, so the row is a numpy scalar and a step costs a few
+    scalar operations besides those two calls; a wider block steps on whole
+    rows.  The sums row of a non-member step is final once the step has
+    passed, so the chunk's end reads which of them were free.
+
+    When S is sum-free, as the caller decides once for every block, no
+    member is ever a sum in a trial still inside M_S: a sum of two members
+    lies in S + S mod n, which misses S.  So such a trial joins exactly the
+    members whose coin is up, and the member rows of a chunk's joined are
+    its coins, with no sums kept and no step run.  Only a non-member step
+    whose coin is up can end containment, when no pair (i, z - i) of joined
+    rows witnesses z as a sum, and _unwitnessed searches the pairs of all
+    such steps of the chunk at once, for the lanes alive at its start.
+
+    The coins come from a buffer of stream words, one row per lane, that
+    _philox_words refills about _COIN_BUFFER_BYTES at a time, and never
+    past the horizon; a repack keeps the buffer rows of the lanes it keeps,
+    so no word of a trial is drawn twice and none is drawn once the trial
+    is dropped.  Memory follows the steps run: sums and joined hold up to
+    twice the steps drawn (joined alone, up to the steps drawn, when S is
+    sum-free, with witness gathers of about _WITNESS_SLAB_BYTES), and
     coins the current chunk and the buffer.
     """
     trials = np.arange(start, start + count, dtype=np.uint64)
@@ -451,6 +519,11 @@ def _simulate_block(
     buffer = np.empty((count, 0), np.uint64)
     alive = _first_lanes(count)
     sums = joined = np.zeros((1, len(alive)), np.uint64)
+    if sum_free:
+        # member[r] for the residues r that steps 1..horizon reach
+        reached = min(modulus, horizon + 1)
+        member = np.zeros(reached, bool)
+        member[bit_positions(member_bits & ((1 << reached) - 1))] = True
     drawn = 0
     while drawn < horizon:
         lanes = None
@@ -461,18 +534,16 @@ def _simulate_block(
             trials, buffer = trials[lanes], buffer[lanes]
             alive = _first_lanes(live)
         steps = min(horizon, max(64, 2 * drawn)) - drawn
-        # step z writes sums up to row min(2z, horizon)
-        rows = min(horizon, 2 * (drawn + steps))
+        # a push from step z writes sums up to row min(2z, horizon); the
+        # witness search reads no row past the steps drawn
+        rows = drawn + steps if sum_free else min(horizon, 2 * (drawn + steps))
         # views of the old rows would keep them alive through the copy;
         # the new coins wait until the old sums and joined are gone
         coins = free = reach = scratch = sums_view = joined_view = None
         # only the sums of the steps to come and the joins made are kept
-        sums = _grown(sums, rows + 1, drawn + 1, lanes)
+        if not sum_free:
+            sums = _grown(sums, rows + 1, drawn + 1, lanes)
         joined = _grown(joined[: drawn + 1], rows + 1, 0, lanes)
-        # a one-word block steps on 1-D views of its one column, so a
-        # step's row is a numpy scalar, not a one-element array
-        column = 0 if len(alive) == 1 else slice(None)
-        sums_view, joined_view = sums[:, column], joined[:, column]
         chunks = -(-steps // 64)
         if not buffer.size:
             # the words drawn are used up: draw this chunk's, and those of
@@ -487,32 +558,46 @@ def _simulate_block(
             # the used-up array goes before the new one comes
             buffer = None
             buffer = _philox_words(seed, trials, drawn // 64, words)
-        coins = _lane_coins(buffer[:, :chunks], steps)[:, column]
+        coins = _lane_coins(buffer[:, :chunks], steps)
         buffer = buffer[:, chunks:]
-        # min(z, horizon - z) rows at most
-        scratch = np.empty((rows // 2, len(alive)), np.uint64)[:, column]
         first = drawn + 1
         drawn += steps
-        outside = []
-        for z in range(first, drawn + 1):
-            if member_bits is not None and not member_bits >> (z % modulus) & 1:
-                outside.append(z)
-                continue
-            free = coins[z - first] & ~sums_view[z]
-            joined_view[z] = free
-            # z + j is a sum in every trial holding both j and z
-            span = z if z < horizon - z else horizon - z
-            reach = sums_view[z + 1 : z + 1 + span]
-            reach |= np.bitwise_and(joined_view[1 : span + 1], free, out=scratch[:span])
-        if outside:
-            # the sums rows of the chunk are final: a trial has left if a
-            # non-member step of it had its coin up and was no sum
-            outside = np.array(outside)
-            left = ~sums_view[outside]
-            left &= coins[outside - first]
+        if sum_free:
+            inside = member[np.arange(first, drawn + 1) % modulus]
+            joined[first:][inside] = coins[inside]
+            outside = np.flatnonzero(~inside)
+            need = coins[outside] & alive
+            up = need.any(axis=1)
+            left = _unwitnessed(joined, outside[up] + first, need[up])
             alive &= ~np.bitwise_or.reduce(left, axis=0)
-            if not alive.any():
-                return 0, 0
+        else:
+            # a one-word block steps on 1-D views of its one column, so a
+            # step's row is a numpy scalar, not a one-element array
+            column = 0 if len(alive) == 1 else slice(None)
+            sums_view, joined_view = sums[:, column], joined[:, column]
+            coins = coins[:, column]
+            # min(z, horizon - z) rows at most
+            scratch = np.empty((rows // 2, len(alive)), np.uint64)[:, column]
+            outside = []
+            for z in range(first, drawn + 1):
+                if member_bits is not None and not member_bits >> (z % modulus) & 1:
+                    outside.append(z)
+                    continue
+                free = coins[z - first] & ~sums_view[z]
+                joined_view[z] = free
+                # z + j is a sum in every trial holding both j and z
+                span = z if z < horizon - z else horizon - z
+                reach = sums_view[z + 1 : z + 1 + span]
+                reach |= np.bitwise_and(joined_view[1 : span + 1], free, out=scratch[:span])
+            if outside:
+                # the sums rows of the chunk are final: a trial has left if
+                # a non-member step of it had its coin up and was no sum
+                outside = np.array(outside)
+                left = ~sums_view[outside]
+                left &= coins[outside - first]
+                alive &= ~np.bitwise_or.reduce(left, axis=0)
+        if not alive.any():
+            return 0, 0
     joined &= alive
     return int(np.bitwise_count(alive).sum()), int(np.bitwise_count(joined).sum())
 
@@ -527,16 +612,21 @@ def simulate_random_sumfree(
     left M_S once the rest fit in fewer words, and stops when none is left.
     The trials run in blocks of whole 64-trial words fixed by the trial
     count, each block in lockstep, with memory that grows with the steps
-    it runs, not with the horizon.  Tallies are integers summed over
-    lanes, so the report is identical for any worker count.
+    it runs, not with the horizon.  Whether S is sum-free mod n is decided
+    once here, so every block takes the same path, and the witness search
+    it picks leaves every coin and tally as the step-by-step push has them.
+    Tallies are integers summed over lanes, so the report is identical for
+    any worker count.
     """
     require_workers(workers)
     modulus = member_bits = None
+    sum_free = False
     if config.conditioning is not None:
         modulus = config.conditioning.modulus
         member_bits = config.conditioning.bits
+        sum_free = is_sum_free(config.conditioning)
     shards = [
-        (config.horizon, config.seed, block.start, len(block), modulus, member_bits)
+        (config.horizon, config.seed, block.start, len(block), modulus, member_bits, sum_free)
         for block in shard_ranges(config.trials)
     ]
     contained = 0

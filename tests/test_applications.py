@@ -13,6 +13,7 @@ import pytest
 from numpy.random import Philox
 
 from sumfree import applications
+from sumfree._parallel import shard_ranges
 from sumfree.applications import (
     CayleyGraph,
     GraphProperties,
@@ -26,7 +27,7 @@ from sumfree.errors import DomainError, ParameterError
 from sumfree.interval_ap_family import IntervalAPParameters, build_small, size_ladder
 from sumfree.search_oracle import exhaustive_scsf
 from sumfree.st_family import STParameters, TCandidate, build_st
-from sumfree.zn_core import CyclicSet
+from sumfree.zn_core import CyclicSet, is_sum_free
 
 from oracles import _run_trial, _run_trial_block, cayley_edges
 
@@ -364,6 +365,11 @@ ORACLE_RUNS = {
     "one-trial": (150, 1, 17, None),
     "one-word": (150, 60, 18, None),
     "one-word-odd": (150, 64, 19, (2, [1])),
+    # a sum-free S besides the odd residues, one holding 0 (0 + 0 = 0, so
+    # not sum-free) and the empty set, which is sum-free and holds no step
+    "sum-free-mod-5": (150, 300, 20, (5, [1, 4])),
+    "holds-zero": (150, 300, 21, (4, [0, 1, 3])),
+    "empty-set": (60, 300, 22, (5, [])),
 }
 
 
@@ -379,8 +385,78 @@ def test_simulation_matches_one_trial_oracle(name):
     )
     expected = _run_trial_block(horizon, seed, 0, trials, modulus, member_bits)
     assert (report.contained_trials, report.joined_total) == expected
-    if name == "every-trial-leaves":
+    if name in ("every-trial-leaves", "empty-set"):
         assert expected == (0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_blocks_search_witnesses_exactly_when_s_is_sum_free(monkeypatch, name):
+    # a block takes one path, chosen by S alone, and the push path decides a
+    # sum-free S as the witness search does
+    horizon, trials, seed, conditioning = ORACLE_RUNS[name]
+    searches = []
+    unwitnessed = applications._unwitnessed
+
+    def recorded(*args):
+        searches.append(len(args[1]))
+        return unwitnessed(*args)
+
+    monkeypatch.setattr(applications, "_unwitnessed", recorded)
+    if conditioning is None:
+        simulate_random_sumfree(ProcessConfig(horizon, trials, seed))
+        assert not searches
+        return
+    conditioning = mk(*conditioning)
+    simulate_random_sumfree(ProcessConfig(horizon, trials, seed, conditioning))
+    sum_free = is_sum_free(conditioning)
+    assert bool(searches) == sum_free
+    if sum_free:
+        modulus, member_bits = conditioning.modulus, conditioning.bits
+        pushed = [
+            applications._simulate_block(
+                horizon, seed, block.start, len(block), modulus, member_bits, False
+            )
+            for block in shard_ranges(trials)
+        ]
+        expected = _run_trial_block(horizon, seed, 0, trials, modulus, member_bits)
+        assert tuple(map(sum, zip(*pushed))) == expected
+
+
+def _witnessed_by_all_pairs(joined, targets, need):
+    """need with the lanes cleared that some pair (i, z - i), 1 <= i < z,
+    of joined rows holds, row by row."""
+    out = need.copy()
+    for r, z in enumerate(targets.tolist()):
+        for i in range(1, z):
+            out[r] &= ~(joined[i] & joined[z - i])
+    return out
+
+
+@pytest.mark.parametrize("slab_bytes", [64, applications._WITNESS_SLAB_BYTES])
+@pytest.mark.parametrize("words", [1, 3])
+def test_witness_search_matches_all_pairs(monkeypatch, words, slab_bytes):
+    # rows one bit in 12 dense leave most lanes of a large z witnessed and
+    # some not, so the windows double up to z / 2; lane 5 is joined nowhere,
+    # so it is never witnessed; 64 bytes cap windows at 8 // words values
+    # and gather one row at a time
+    monkeypatch.setattr(applications, "_WITNESS_SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(words)
+    size = 400
+    bits = rng.random((size, words, 64)) < 1 / 12
+    bits[0] = False
+    bits[:, 0, 5] = False
+    joined = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    joined = joined.reshape(size, words).astype(np.uint64)
+    targets = np.concatenate([[1, 2, 3, 17, 33, 34], rng.integers(1, size, 60)])
+    need = rng.integers(0, 1 << 63, (len(targets), words), dtype=np.uint64) << 1
+    need[:, 0] |= 1 << 5
+    got = applications._unwitnessed(joined, targets, need)
+    assert got.tolist() == _witnessed_by_all_pairs(joined, targets, need).tolist()
+    # the lanes of a large z left unwitnessed ran the scan to z / 2
+    assert all(row[0] >> 5 & 1 for row in got.tolist())
+    big = targets > 2 * (16 + 32 + 64)
+    assert (got[big] & ~np.uint64(1 << 5)).any()
+    assert (got[big] != need[big]).any()
 
 
 @pytest.mark.parametrize(
@@ -566,6 +642,22 @@ def test_one_word_block_keeps_no_old_rows_through_the_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 1.4 * (1 << 20)
+
+
+def test_sum_free_block_gathers_its_witnesses_in_slabs():
+    # a full block on the odd residues at N = 5000 keeps no sums and peaks
+    # at 1.42 MiB; gathering each window's pairs whole would peak at
+    # 6.7 MiB, and the push path peaked at 2.06 MiB
+    config = ProcessConfig(
+        horizon=5000, trials=4096, seed=7, conditioning=mk(2, [1])
+    )
+    tracemalloc.start()
+    try:
+        simulate_random_sumfree(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_block_memory_follows_the_steps_run():
