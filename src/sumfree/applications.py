@@ -21,10 +21,9 @@ its coins, and one search over all its non-member steps looks for such
 witness pairs in windows of i that double in size.  The steps outside M_S
 are settled once per chunk of steps, and after each chunk a block keeps
 only the trials still inside M_S once they fit in fewer words.  A trial's
-coins are the words of its own Philox4x64-10
-stream keyed (seed, trial); the generator is counter-based, so one array
-computation draws the words of every lane of a block, and numpy.random is
-never loaded.
+coins are the words of its own Philox4x64-10 stream keyed (seed, trial);
+the generator is counter-based, so one array computation draws the words
+of every lane of a block, and numpy.random is never loaded.
 """
 
 from __future__ import annotations
@@ -566,9 +565,7 @@ def _simulate_block(
             inside = member[np.arange(first, drawn + 1) % modulus]
             joined[first:][inside] = coins[inside]
             outside = np.flatnonzero(~inside)
-            need = coins[outside] & alive
-            up = need.any(axis=1)
-            left = _unwitnessed(joined, outside[up] + first, need[up])
+            left = _unwitnessed(joined, outside + first, coins[outside] & alive)
             alive &= ~np.bitwise_or.reduce(left, axis=0)
         else:
             # a one-word block steps on 1-D views of its one column, so a

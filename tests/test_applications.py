@@ -398,7 +398,7 @@ def test_blocks_search_witnesses_exactly_when_s_is_sum_free(monkeypatch, name):
     unwitnessed = applications._unwitnessed
 
     def recorded(*args):
-        searches.append(len(args[1]))
+        searches.append(args)
         return unwitnessed(*args)
 
     monkeypatch.setattr(applications, "_unwitnessed", recorded)
@@ -437,8 +437,8 @@ def _witnessed_by_all_pairs(joined, targets, need):
 def test_witness_search_matches_all_pairs(monkeypatch, words, slab_bytes):
     # rows one bit in 12 dense leave most lanes of a large z witnessed and
     # some not, so the windows double up to z / 2; lane 5 is joined nowhere,
-    # so it is never witnessed; 64 bytes cap windows at 8 // words values
-    # and gather one row at a time
+    # so it is never witnessed; 64 bytes cap windows at 64 // (8 words + 8)
+    # values and gather one row at a time
     monkeypatch.setattr(applications, "_WITNESS_SLAB_BYTES", slab_bytes)
     rng = np.random.default_rng(words)
     size = 400
@@ -452,7 +452,8 @@ def test_witness_search_matches_all_pairs(monkeypatch, words, slab_bytes):
     need[:, 0] |= 1 << 5
     got = applications._unwitnessed(joined, targets, need)
     assert got.tolist() == _witnessed_by_all_pairs(joined, targets, need).tolist()
-    # the lanes of a large z left unwitnessed ran the scan to z / 2
+    # every row keeps lane 5, and some rows past the first three windows
+    # keep other lanes too, so their scan ran up to z / 2
     assert all(row[0] >> 5 & 1 for row in got.tolist())
     big = targets > 2 * (16 + 32 + 64)
     assert (got[big] & ~np.uint64(1 << 5)).any()
