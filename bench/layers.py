@@ -5,16 +5,18 @@
 Each row is one library call at the scale where a kernel change shows: a
 200-trial and a 60-trial `simulate cameron` request at N = 5000, one full
 4096-trial block, the criterion-11 run (20000 trials, one worker), and the
-Cayley properties and edge export of the n = 749 ladder rung.  Two more
+Cayley properties and edge export of the n = 749 ladder rung.  Three more
 200-trial requests at N = 5000 cover both sides of the simulator's choice
 of path: the residues 1..99 mod 100 are not sum-free, so their blocks push
-sums step by step, and {1, 4} mod 5 is sum-free, so its blocks search for
-witnesses as the odd residues' do.  Each of
-ROUNDS rounds starts a fresh interpreter for the package under src/ beside
-this script and one for the tree given by --baseline (a directory holding
-a sumfree package, such as a checkout's src/), the two in alternating
-order, so they share the machine's state.  Each interpreter times every
-row best of REPEAT in-process.  A row records the best time over all rounds and the range of the rounds' bests,
+sums step by step, {0, 1, 3} mod 4 (0 + 0 = 0) is not either, and a
+quarter of its steps are non-members settled from the sums rows, and
+{1, 4} mod 5 is sum-free, so its blocks search for witnesses as the odd
+residues' do.  Each of ROUNDS rounds starts a fresh interpreter for the
+package under src/ beside this script and one for the tree given by
+--baseline (a directory holding a sumfree package, such as a checkout's
+src/), the two in alternating order, so they share the machine's state.
+Each interpreter times every row best of REPEAT in-process.  A row
+records the best time over all rounds and the range of the rounds' bests,
 in milliseconds, with the call's answer, so two trees that disagree show
 it.  The record also holds the CPU count and affinity, the Python and
 numpy versions, and each tree's commit.
@@ -50,6 +52,7 @@ def _rows():
     odd = CyclicSet.from_elements(2, [1])
     push = CyclicSet.from_elements(100, range(1, 100))
     mod5 = CyclicSet.from_elements(5, [1, 4])
+    holds_zero = CyclicSet.from_elements(4, [0, 1, 3])
     graph = cayley_graph(build_small(size_ladder(749).rungs[0]))
 
     def simulate(*config):
@@ -63,6 +66,7 @@ def _rows():
         "simulate.criterion_11": lambda: simulate(5000, 20000, 7, odd),
         "simulate.request_200_push": lambda: simulate(5000, 200, 1, push),
         "simulate.request_200_mod5": lambda: simulate(5000, 200, 1, mod5),
+        "simulate.request_200_holds_zero": lambda: simulate(5000, 200, 1, holds_zero),
         "cayley.properties_749": lambda: list(vars(graph_properties(graph)).values()),
         "cayley.edges_749": lambda: len(graph.to_edge_list()),
     }

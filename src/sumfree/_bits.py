@@ -101,7 +101,9 @@ def bits_from_positions(width: int, positions) -> int:
     Python; beyond, numpy reads the indices into one array, flags them in
     a bool row and packs the row into bytes, with no Python step per index.
     Neither path checks an index (numpy casts a float, the walk raises), so
-    every caller that takes outside input checks its indices first.
+    every caller that takes outside input checks its indices first.  The
+    numpy path's flags take one byte per index below width, whatever the
+    count, so zn_core refuses a modulus above its _MAX_MODULUS first.
     """
     nbytes = (width + 7) >> 3
     if nbytes > _WALK_MAX_BYTES:

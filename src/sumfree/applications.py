@@ -8,28 +8,34 @@ one half.  Each claim is checked computationally here, never assumed; the
 graph properties are checked at vertex 0 and extend to every vertex because
 Cayley graphs are vertex-transitive.  The process runs bit-sliced: a block
 of trials shares one pass over the horizon, 64 trials to a uint64 word.
-Unconditioned, or conditioned on an S that is not sum-free, a step that
-can join takes its row of joins from its coins and its row of sums, then
-pushes that row onto the sums ahead with two numpy calls; a block one
-word wide steps on 1-D views, so the row is a numpy scalar.  When S is
-sum-free mod n, as the odd residues are, no member of M_S is ever a sum in
-a trial still inside M_S, because (S + S) misses S: such a trial joins
-exactly the members whose coin is up, and only a non-member whose coin is
-up can end containment, when no pair (i, z - i) of joined elements sums
-to it.  So those blocks run no steps: a chunk's member rows of joins are
-its coins, and one search over all its non-member steps looks for such
-witness pairs in windows of i that double in size.  The steps outside M_S
-are settled once per chunk of steps, and after each chunk a block keeps
-only the trials still inside M_S once they fit in fewer words.  A trial's
-coins are the words of its own Philox4x64-10 stream keyed (seed, trial);
-the generator is counter-based, so one array computation draws the words
-of every lane of a block, and numpy.random is never loaded.
+An unconditioned run is conditioned on S = {0} mod 1, which holds every
+step, so one bool table of the residues the steps reach, built once per
+request, tells every block which steps lie in M_S.  Each chunk of steps
+reads its members off that table once and settles its non-member steps
+in one place: a trial whose coin is up at such a z has left M_S unless z
+is a sum of two elements it joined.  When S is not sum-free, the member
+steps run one at a time: a step takes its row of joins from its coins
+and its row of sums, then pushes that row onto the sums ahead with two
+numpy calls, and a block one word wide steps on 1-D views, so the row is
+a numpy scalar; the settlement reads the sums rows.  When S is sum-free
+mod n, as the odd residues are, no member of M_S is ever a sum in a trial
+still inside M_S, because (S + S) misses S: such a trial joins exactly
+the members whose coin is up.  So those blocks run no steps: a chunk's
+member rows of joins are its coins, and the settlement searches all its
+non-member steps at once for witness pairs (i, z - i) of joined
+elements, in windows of i that double in size.  After each chunk a block
+keeps only the trials still inside M_S once they fit in fewer words.
+A trial's coins are the words of its own Philox4x64-10 stream keyed
+(seed, trial); the generator is counter-based, so one array computation
+draws the words of every lane of a block, and numpy.random is never
+loaded.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -463,45 +469,42 @@ def _unwitnessed(joined: np.ndarray, targets: np.ndarray, need: np.ndarray) -> n
 
 
 def _simulate_block(
-    horizon: int,
-    seed: int,
-    start: int,
-    count: int,
-    modulus: Optional[int],
-    member_bits: Optional[int],
-    sum_free: bool,
+    horizon: int, seed: int, start: int, count: int, member: np.ndarray, sum_free: bool
 ) -> Tuple[int, int]:
     """(contained trials, total joined among contained) for one block.
 
     The block's trials run in lockstep over z = 1..horizon, trial start + i
     in bit i % 64 of word i // 64.  Row z of joined holds the trials that
-    join z.  A trial leaves M_S at the first non-member z that is free for
-    it, and since lanes never mix, a lane that has left may run on: the
-    alive mask drops it from the tally at the end.  The steps run in
-    chunks, and each chunk ends by clearing, in one operation, the alive
-    bit of every trial that one of its non-member steps left free.  The
-    first chunk is one coin word, 64 steps, and each later one doubles the
-    steps drawn.  The block stops once no trial is left, and when the trials
-    left fit in fewer words it keeps only their lanes.
+    join z.  member[z % len(member)] tells whether z lies in M_S, since the
+    table covers a whole period of S or every step.  A trial leaves M_S at
+    the first non-member z that is free for it, and since lanes never mix,
+    a lane that has left may run on: the alive mask drops it from the
+    tally at the end.  The steps run in chunks; the first is one coin word,
+    64 steps, and each later one doubles the steps drawn.  Each chunk reads
+    which of its steps are members off the table once, and ends by settling
+    its non-member steps in one place: the lanes alive at its start whose
+    coin is up at such a z have left unless z is a sum for them, and their
+    alive bits are cleared together.  The block stops once no trial is
+    left, and when the trials left fit in fewer words it keeps only their
+    lanes.
 
-    Unconditioned, or when S is not sum-free, row z of sums holds the
-    trials where z is already a sum of two joined elements, and only member
-    steps run one by one: z joins where its coin is up and it is not yet a
-    sum, and two numpy calls push the row of joins, making z + j a sum
-    wherever j is joined too.  A block one word wide steps on 1-D views of
-    its one column, so the row is a numpy scalar and a step costs a few
-    scalar operations besides those two calls; a wider block steps on whole
-    rows.  The sums row of a non-member step is final once the step has
-    passed, so the chunk's end reads which of them were free.
+    When S is not sum-free, as {0} mod 1 for an unconditioned run is not,
+    row z of sums holds the trials where z is already a sum of two joined
+    elements, and the member steps run one by one: z joins where its coin
+    is up and it is not yet a sum, and two numpy calls push the row of
+    joins, making z + j a sum wherever j is joined too.  A block one word
+    wide steps on 1-D views of its one column, so the row is a numpy scalar
+    and a step costs a few scalar operations besides those two calls; a
+    wider block steps on whole rows.  The sums row of a non-member step is
+    final once the step has passed, so the settlement reads it.
 
     When S is sum-free, as the caller decides once for every block, no
     member is ever a sum in a trial still inside M_S: a sum of two members
     lies in S + S mod n, which misses S.  So such a trial joins exactly the
     members whose coin is up, and the member rows of a chunk's joined are
-    its coins, with no sums kept and no step run.  Only a non-member step
-    whose coin is up can end containment, when no pair (i, z - i) of joined
-    rows witnesses z as a sum, and _unwitnessed searches the pairs of all
-    such steps of the chunk at once, for the lanes alive at its start.
+    its coins, with no sums kept and no step run.  The settlement asks
+    _unwitnessed for the lanes where no pair (i, z - i) of joined rows
+    witnesses z as a sum, for all the chunk's non-member steps at once.
 
     The coins come from a buffer of stream words, one row per lane, that
     _philox_words refills about _COIN_BUFFER_BYTES at a time, and never
@@ -518,11 +521,6 @@ def _simulate_block(
     buffer = np.empty((count, 0), np.uint64)
     alive = _first_lanes(count)
     sums = joined = np.zeros((1, len(alive)), np.uint64)
-    if sum_free:
-        # member[r] for the residues r that steps 1..horizon reach
-        reached = min(modulus, horizon + 1)
-        member = np.zeros(reached, bool)
-        member[bit_positions(member_bits & ((1 << reached) - 1))] = True
     drawn = 0
     while drawn < horizon:
         lanes = None
@@ -538,7 +536,7 @@ def _simulate_block(
         rows = drawn + steps if sum_free else min(horizon, 2 * (drawn + steps))
         # views of the old rows would keep them alive through the copy;
         # the new coins wait until the old sums and joined are gone
-        coins = free = reach = scratch = sums_view = joined_view = None
+        coins = step_coins = free = reach = scratch = sums_view = joined_view = None
         # only the sums of the steps to come and the joins made are kept
         if not sum_free:
             sums = _grown(sums, rows + 1, drawn + 1, lanes)
@@ -561,38 +559,36 @@ def _simulate_block(
         buffer = buffer[:, chunks:]
         first = drawn + 1
         drawn += steps
+        # inside[k]: whether step first + k lies in M_S, from whole periods
+        # of the table rotated to start at that step
+        at = first % len(member)
+        inside = np.tile(member, -(-(at + steps) // len(member)))[at : at + steps]
         if sum_free:
-            inside = member[np.arange(first, drawn + 1) % modulus]
-            joined[first:][inside] = coins[inside]
-            outside = np.flatnonzero(~inside)
-            left = _unwitnessed(joined, outside + first, coins[outside] & alive)
-            alive &= ~np.bitwise_or.reduce(left, axis=0)
+            np.copyto(joined[first:], coins, where=inside[:, None])
         else:
             # a one-word block steps on 1-D views of its one column, so a
             # step's row is a numpy scalar, not a one-element array
             column = 0 if len(alive) == 1 else slice(None)
             sums_view, joined_view = sums[:, column], joined[:, column]
-            coins = coins[:, column]
+            step_coins = coins[:, column]
             # min(z, horizon - z) rows at most
             scratch = np.empty((rows // 2, len(alive)), np.uint64)[:, column]
-            outside = []
-            for z in range(first, drawn + 1):
-                if member_bits is not None and not member_bits >> (z % modulus) & 1:
-                    outside.append(z)
-                    continue
-                free = coins[z - first] & ~sums_view[z]
+            for z in compress(range(first, drawn + 1), inside.tobytes()):
+                free = step_coins[z - first] & ~sums_view[z]
                 joined_view[z] = free
                 # z + j is a sum in every trial holding both j and z
                 span = z if z < horizon - z else horizon - z
                 reach = sums_view[z + 1 : z + 1 + span]
                 reach |= np.bitwise_and(joined_view[1 : span + 1], free, out=scratch[:span])
-            if outside:
-                # the sums rows of the chunk are final: a trial has left if
-                # a non-member step of it had its coin up and was no sum
-                outside = np.array(outside)
-                left = ~sums_view[outside]
-                left &= coins[outside - first]
-                alive &= ~np.bitwise_or.reduce(left, axis=0)
+        # a trial has left if a non-member step of it had its coin up and
+        # was no sum; the sums rows of the chunk are final by now
+        outside = np.flatnonzero(~inside)
+        left = coins[outside] & alive
+        if sum_free:
+            left = _unwitnessed(joined, outside + first, left)
+        else:
+            left &= ~sums[outside + first]
+        alive &= ~np.bitwise_or.reduce(left, axis=0)
         if not alive.any():
             return 0, 0
     joined &= alive
@@ -607,23 +603,26 @@ def simulate_random_sumfree(
     A trial is contained when every joined element lies in M_S; no later
     join can repair containment, so a block drops the trials that have
     left M_S once the rest fit in fewer words, and stops when none is left.
-    The trials run in blocks of whole 64-trial words fixed by the trial
-    count, each block in lockstep, with memory that grows with the steps
-    it runs, not with the horizon.  Whether S is sum-free mod n is decided
-    once here, so every block takes the same path, and the witness search
-    it picks leaves every coin and tally as the step-by-step push has them.
-    Tallies are integers summed over lanes, so the report is identical for
-    any worker count.
+    An unconditioned run is the run conditioned on S = {0} mod 1, which
+    holds every step, so no trial leaves.  The trials run in blocks of
+    whole 64-trial words fixed by the trial count, each block in lockstep,
+    with memory that grows with the steps it runs, not with the horizon.
+    The table of the residues that steps 1..horizon reach, and whether S
+    is sum-free mod n, are found once here, so every block takes the same
+    path, and the witness search a sum-free S picks leaves every coin and
+    tally as the step-by-step push has them.  Tallies are integers summed
+    over lanes, so the report is identical for any worker count.
     """
     require_workers(workers)
-    modulus = member_bits = None
-    sum_free = False
-    if config.conditioning is not None:
-        modulus = config.conditioning.modulus
-        member_bits = config.conditioning.bits
-        sum_free = is_sum_free(config.conditioning)
+    S = config.conditioning
+    if S is None:
+        S = CyclicSet(1, 1)
+    reached = min(S.modulus, config.horizon + 1)
+    member = np.zeros(reached, bool)
+    member[bit_positions(S.bits & ((1 << reached) - 1))] = True
+    sum_free = is_sum_free(S)
     shards = [
-        (config.horizon, config.seed, block.start, len(block), modulus, member_bits, sum_free)
+        (config.horizon, config.seed, block.start, len(block), member, sum_free)
         for block in shard_ranges(config.trials)
     ]
     contained = 0

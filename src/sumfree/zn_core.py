@@ -49,6 +49,19 @@ __all__ = [
 ]
 
 
+# the largest modulus a set may have: its mask then takes 512 MiB, and
+# packing members into it flags one byte per residue
+_MAX_MODULUS = 1 << 32
+
+
+def _require_modulus(n: int) -> None:
+    """Refuse a modulus outside [1, _MAX_MODULUS] before anything is sized by it."""
+    if n < 1:
+        raise DomainError(f"modulus must be positive, got {n}")
+    if n > _MAX_MODULUS:
+        raise DomainError(f"modulus must be at most {_MAX_MODULUS}, got {n}")
+
+
 @dataclass(frozen=True)
 class CyclicSet:
     """A subset of Z_n as a fixed-modulus bit-vector."""
@@ -57,9 +70,8 @@ class CyclicSet:
     bits: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise DomainError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.bits < (1 << self.modulus):
+        _require_modulus(self.modulus)
+        if self.bits < 0 or self.bits.bit_length() > self.modulus:
             raise DomainError(f"bit-vector out of range for modulus {self.modulus}")
 
     @classmethod
@@ -69,8 +81,7 @@ class CyclicSet:
         A non-integer member raises TypeError at every n; numpy's packer
         above 64 bytes would otherwise truncate a float silently.
         """
-        if n < 1:
-            raise DomainError(f"modulus must be positive, got {n}")
+        _require_modulus(n)
         return cls(n, bits_from_positions(n, (operator.index(x) % n for x in elements)))
 
     @property
@@ -191,8 +202,7 @@ def interval(n: int, a: int, b: int) -> CyclicSet:
     be strictly less than n (a wrap-around all the way to a full group is
     almost always a caller bug, so it is refused).
     """
-    if n < 1:
-        raise DomainError(f"modulus must be positive, got {n}")
+    _require_modulus(n)
     if a > b:
         raise DomainError(f"interval endpoints out of order: [{a}, {b}]")
     length = b - a + 1
@@ -254,8 +264,7 @@ def classify(a: CyclicSet) -> SetProperties:
 
 def units(n: int) -> List[int]:
     """Residues that are invertible mod n (for n = 1 this is [0])."""
-    if n < 1:
-        raise DomainError(f"modulus must be positive, got {n}")
+    _require_modulus(n)
     return [u for u in range(n) if math.gcd(u, n) == 1]
 
 
@@ -272,6 +281,7 @@ def set_from_json(obj: dict) -> CyclicSet:
     elements = obj["elements"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"'n' must be a positive integer, got {n!r}")
+    _require_modulus(n)
     if not isinstance(elements, list):
         raise DomainError("'elements' must be a list of integers")
     # one pass in C over types and the range; the loop runs only to name

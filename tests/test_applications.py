@@ -412,15 +412,36 @@ def test_blocks_search_witnesses_exactly_when_s_is_sum_free(monkeypatch, name):
     assert bool(searches) == sum_free
     if sum_free:
         modulus, member_bits = conditioning.modulus, conditioning.bits
+        # the residues that steps 1..horizon reach
+        member = np.array([r in conditioning for r in range(min(modulus, horizon + 1))])
         pushed = [
             applications._simulate_block(
-                horizon, seed, block.start, len(block), modulus, member_bits, False
+                horizon, seed, block.start, len(block), member, False
             )
             for block in shard_ranges(trials)
         ]
         expected = _run_trial_block(horizon, seed, 0, trials, modulus, member_bits)
         assert tuple(map(sum, zip(*pushed))) == expected
 
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "name", ["unconditioned", "odd", "padding-lanes", "horizon-1", "one-word", "block-boundary"]
+)
+def test_unconditioned_runs_are_conditioned_on_every_residue(name, workers):
+    # S = {0} mod 1 holds every step, and 0 + 0 = 0, so it is not sum-free:
+    # the same push path and the same tallies; 4097 trials make two blocks
+    horizon, trials, seed, _ = ORACLE_RUNS[name]
+    plain = simulate_random_sumfree(ProcessConfig(horizon, trials, seed), workers=workers)
+    everything = simulate_random_sumfree(
+        ProcessConfig(horizon, trials, seed, CyclicSet(1, 1)), workers=workers
+    )
+    assert (plain.contained_trials, plain.joined_total) == (
+        everything.contained_trials,
+        everything.joined_total,
+    )
+    assert plain.contained_trials == trials
 
 def _witnessed_by_all_pairs(joined, targets, need):
     """need with the lanes cleared that some pair (i, z - i), 1 <= i < z,

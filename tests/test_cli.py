@@ -610,6 +610,26 @@ def test_flags_only_where_they_act(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "1000000000000", "--set", "1"],
+        ["simulate", "cameron", "--horizon", "50", "--trials", "10", "--seed", "1",
+         "--mod", "1000000000000", "--set", "1"],
+    ],
+    ids=["verify", "simulate"],
+)
+def test_huge_modulus_is_a_typed_refusal(capsys, argv):
+    # packing the set once sized numpy's flags by the modulus and died
+    # with an ArrayMemoryError traceback
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == (
+        '{"error":{"type":"DomainError",'
+        '"message":"modulus must be at most 4294967296, got 1000000000000"}}\n'
+    )
+
+
 def test_simulate_mod_needs_set(capsys):
     code, payload = run_json(
         capsys, "simulate", "cameron", "--horizon", "10", "--trials", "2",

@@ -47,6 +47,7 @@ from sumfree.zn_core import (
     set_to_json,
     sumset,
     units,
+    _MAX_MODULUS,
 )
 
 
@@ -211,6 +212,28 @@ def test_bad_modulus_and_bits_rejected():
         CyclicSet(0, 0)
     with pytest.raises(DomainError):
         CyclicSet(3, 1 << 3)
+
+
+# far past any allocation that could succeed: packing a one-member set at
+# this modulus once asked numpy for 931 GiB of flags
+HUGE = 10**12
+
+
+def test_moduli_past_the_cap_are_refused_before_anything_is_sized():
+    assert CyclicSet(_MAX_MODULUS, 1).size == 1
+    with pytest.raises(DomainError):
+        CyclicSet(8, 1 << 8)
+    refusals = [
+        lambda: CyclicSet(_MAX_MODULUS + 1, 1),
+        lambda: CyclicSet(HUGE, 1),
+        lambda: CyclicSet.from_elements(HUGE, [1]),
+        lambda: set_from_json({"n": HUGE, "elements": [1]}),
+        lambda: interval(HUGE, 1, 2),
+        lambda: units(HUGE),
+    ]
+    for call in refusals:
+        with pytest.raises(DomainError, match="modulus must be at most 4294967296"):
+            call()
 
 
 def test_set_operators_require_same_modulus():
