@@ -430,7 +430,8 @@ _WITNESS_SLAB_BYTES = 128 << 10
 
 
 def _unwitnessed(joined: np.ndarray, targets: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """The lanes of need[r] where targets[r] is no sum of two joined rows.
+    """need, keeping in place the lanes of need[r] where targets[r] is no
+    sum of two joined rows.
 
     A witness for a lane of row r is a pair (i, targets[r] - i), i >= 1,
     with both rows of joined holding that lane; the rows read all lie below
@@ -444,7 +445,6 @@ def _unwitnessed(joined: np.ndarray, targets: np.ndarray, need: np.ndarray) -> n
     take at most about _WITNESS_SLAB_BYTES at a time: windows stop growing
     there, and the rows of a window are gathered in slabs under it.
     """
-    need = need.copy()
     # a pair's partner row and its index
     pair_bytes = 8 * joined.shape[1] + 8
     widest = max(1, _WITNESS_SLAB_BYTES // pair_bytes)
@@ -585,7 +585,7 @@ def _simulate_block(
         outside = np.flatnonzero(~inside)
         left = coins[outside] & alive
         if sum_free:
-            left = _unwitnessed(joined, outside + first, left)
+            _unwitnessed(joined, outside + first, left)
         else:
             left &= ~sums[outside + first]
         alive &= ~np.bitwise_or.reduce(left, axis=0)

@@ -471,7 +471,7 @@ def test_witness_search_matches_all_pairs(monkeypatch, words, slab_bytes):
     targets = np.concatenate([[1, 2, 3, 17, 33, 34], rng.integers(1, size, 60)])
     need = rng.integers(0, 1 << 63, (len(targets), words), dtype=np.uint64) << 1
     need[:, 0] |= 1 << 5
-    got = applications._unwitnessed(joined, targets, need)
+    got = applications._unwitnessed(joined, targets, need.copy())
     assert got.tolist() == _witnessed_by_all_pairs(joined, targets, need).tolist()
     # every row keeps lane 5, and some rows past the first three windows
     # keep other lanes too, so their scan ran up to z / 2
