@@ -560,7 +560,7 @@ def _simulate_block(
         first = drawn + 1
         drawn += steps
         # inside[k]: whether step first + k lies in M_S, from whole periods
-        # of the table rotated to start at that step
+        # of the table, cut to start at that step
         at = first % len(member)
         inside = np.tile(member, -(-(at + steps) // len(member)))[at : at + steps]
         if sum_free:
