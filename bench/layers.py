@@ -1,11 +1,17 @@
-"""Time the simulation and Cayley layers and write one JSON record.
+"""Time the search, window, construction, simulation and Cayley layers
+and write one JSON record.
 
     python bench/layers.py OUT.json [--baseline SRC]
 
-Each row is one library call at the scale where a kernel change shows: a
-200-trial and a 60-trial `simulate cameron` request at N = 5000, one full
-4096-trial block, the criterion-11 run (20000 trials, one worker), and the
-Cayley properties and edge export of the n = 749 ladder rung.  Three more
+Each row is one library call at the scale where a kernel change shows.
+The search rows are the catalog at n = 80, the probe at (97, 30) and
+`st equiv` at t = 16 (n = 223, s = 64), all three on the catalog search,
+and the window row is `enumerate_special(18)`; each runs past its default
+budget, with one worker.  The ladder row builds every rung of the size
+ladder at n = 10^5.  The simulation rows are a 200-trial and a 60-trial
+`simulate cameron` request at N = 5000, one full 4096-trial block and
+the criterion-11 run (20000 trials, one worker), and the Cayley rows the
+properties and edge export of the n = 749 ladder rung.  Three more
 200-trial requests at N = 5000 cover both sides of the simulator's choice
 of path: the residues 1..99 mod 100 are not sum-free, so their blocks push
 sums step by step, {0, 1, 3} mod 4 (0 + 0 = 0) is not either, and a
@@ -47,6 +53,12 @@ def _rows():
         simulate_random_sumfree,
     )
     from sumfree.interval_ap_family import build_small, size_ladder
+    from sumfree.search_oracle import (
+        characterization_probe,
+        exhaustive_scsf,
+        verify_st_equivalence,
+    )
+    from sumfree.special_sets import enumerate_special
     from sumfree.zn_core import CyclicSet
 
     odd = CyclicSet.from_elements(2, [1])
@@ -59,7 +71,26 @@ def _rows():
         report = simulate_random_sumfree(ProcessConfig(*config))
         return [report.contained_trials, report.joined_total]
 
+    def catalog():
+        found = exhaustive_scsf(80, budget=1 << 40)
+        return [len(found.members), len(found.classes)]
+
+    def probe():
+        report = characterization_probe(97, 30, budget=1 << 48)
+        return [report.catalog_count, report.construction_count, report.matched_count]
+
+    def equiv():
+        report = verify_st_equivalence(223, 64, budget=1 << 32)
+        return [report.special_count, len(report.counterexamples)]
+
     return {
+        "search.catalog_80": catalog,
+        "search.probe_97_30": probe,
+        "search.st_equiv_16": equiv,
+        "window.enumerate_18": lambda: enumerate_special(18, budget=1 << 40).g,
+        "construct.ladder_100000": lambda: [
+            build_small(rung).size for rung in size_ladder(100000).rungs
+        ],
         "simulate.request_200_odd": lambda: simulate(5000, 200, 1, odd),
         "simulate.request_60": lambda: simulate(5000, 60, 1),
         "simulate.block_4096_odd": lambda: simulate(5000, 4096, 7, odd),

@@ -57,7 +57,8 @@ _PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
 def _splice_sets(text: str, masks: List[int], pretty: bool) -> str:
     """Replace the placeholders in ``text``, in order, by the member lists
     of ``masks``, laid out as json.dumps lays out a list; in pretty mode
-    the list is indented from the placeholder's own line."""
+    the list is indented from the placeholder's own line, and compact
+    output is that layout with no line breaks or indents."""
     pieces = text.split(_PLACEHOLDER_JSON)
     if len(pieces) != len(masks) + 1:
         raise ValueError(
@@ -65,13 +66,12 @@ def _splice_sets(text: str, masks: List[int], pretty: bool) -> str:
         )
     out = [pieces[0]]
     for bits, before, after in zip(masks, pieces, pieces[1:]):
+        inner = outer = ""
         if pretty:
             line = before[before.rfind("\n") + 1:]
             outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
             inner = outer + " " * _INDENT
-            out += ["[", inner, positions_text(bits, "," + inner), outer, "]", after]
-        else:
-            out += ["[", positions_text(bits), "]", after]
+        out += ["[", inner, positions_text(bits, "," + inner), outer, "]", after]
     return "".join(out)
 
 

@@ -16,7 +16,9 @@ the probe and the S_T sweep share, cuts a node when the orbits that can
 still join fall short of the size filter, and when some member that no
 later orbit holds cannot lie in the sumset of any leaf below.  The
 maximum-sum-free search cuts a node when, with no two members one apart,
-its candidates cannot reach the best size found so far.
+its candidates cannot reach the best size found so far.  The catalog
+search is sharded on the choices on its first orbits, and each shard is
+a search node: a sum-free choice with its S + S, built before dispatch.
 """
 
 from __future__ import annotations
@@ -261,36 +263,6 @@ def _search_tables(
     return [_orbit_shifts(orbit, n) for orbit in orbits], later
 
 
-def _scsf_shard(
-    n: int,
-    orbits: List[int],
-    shifts: List[Tuple[int, int]],
-    later: List[int],
-    start: int,
-    orbits_prefix_len: int,
-    prefix_choice: int,
-    size_filter: Optional[int],
-) -> List[int]:
-    """Search start plus subsets of the orbits, the first fixed by the choice bitmap.
-
-    The catalog starts from {1, n - 1} over the other negation orbits and
-    from the empty set over the non-unit ones, the S_T equivalence sweep
-    from the central interval over the window orbits.  The shifts and
-    later come from ``_search_tables``, built once per search.
-    """
-    s_bits = start
-    for i in range(orbits_prefix_len):
-        if prefix_choice >> i & 1:
-            s_bits |= orbits[i]
-    ss_bits = _sumset_bits(s_bits, s_bits, n)
-    # S and S + S only grow, so a sum-free violation here is permanent
-    if s_bits & ss_bits:
-        return []
-    return _scsf_dfs(
-        n, orbits, shifts, later, orbits_prefix_len, s_bits, ss_bits, size_filter
-    )
-
-
 def _catalog_searches(n: int) -> List[Tuple[List[int], int]]:
     """The catalog's (orbits, start) searches: for n >= 3, the members
     holding 1 and those holding no unit."""
@@ -310,21 +282,33 @@ def _scsf_search(
 ) -> List[int]:
     """The leaves of the (orbits, start) searches, from one sharded call.
 
-    Each search is cut on the choices on its first orbits, with one prefix
-    bit fewer per doubling of the searches, so the shards number at most
-    2**SHARD_BITS in all and one pool runs them.  Each search's shifts
-    and unions of later orbits are built once and shared by its shards.
+    The catalog starts from {1, n - 1} over the other negation orbits and
+    from the empty set over the non-unit ones, the S_T equivalence sweep
+    from the central interval over the window orbits.  Each search is cut
+    on the choices on its first orbits, with one prefix bit fewer per
+    doubling of the searches, so there are at most 2**SHARD_BITS choices
+    in all.  Each choice's S and S + S are built here, and the choices
+    where S meets S + S are dropped: both only grow, so no leaf lies
+    below them.  The rest are the shards, ``_scsf_dfs`` nodes that one
+    pool runs.  Each search's shifts and unions of later orbits are built
+    once and shared by its shards.
     """
     bits = SHARD_BITS - (len(searches) - 1).bit_length()
     shards = []
     for orbits, start in searches:
         prefix = min(bits, len(orbits))
         shifts, later = _search_tables(n, orbits)
-        shards += [
-            (n, orbits, shifts, later, start, prefix, choice, size_filter)
-            for choice in range(1 << prefix)
-        ]
-    return [leaf for part in run_sharded(_scsf_shard, shards, workers) for leaf in part]
+        for choice in range(1 << prefix):
+            s_bits = start
+            for i in range(prefix):
+                if choice >> i & 1:
+                    s_bits |= orbits[i]
+            ss_bits = _sumset_bits(s_bits, s_bits, n)
+            if not s_bits & ss_bits:
+                shards.append(
+                    (n, orbits, shifts, later, prefix, s_bits, ss_bits, size_filter)
+                )
+    return [leaf for part in run_sharded(_scsf_dfs, shards, workers) for leaf in part]
 
 
 def exhaustive_scsf(
@@ -347,9 +331,9 @@ def exhaustive_scsf(
     the empty set over the orbits of non-units finds the members holding
     no unit (none for prime n).  The expansion's orbits are the catalog's
     dilation classes, each built from one table per unit.  Both searches'
-    shards, the choices on their first SHARD_BITS - 1 orbits, go to one
-    sharded call; one worker runs them in-process.  A node is cut when S
-    with every later orbit that misses S + S falls short of the size
+    shards, the sum-free choices on their first SHARD_BITS - 1 orbits, go
+    to one sharded call; one worker runs them in-process.  A node is cut
+    when S with every later orbit that misses S + S falls short of the size
     filter, or when a member outside S, S + S and the later orbits lies
     outside U + U, U being S with those orbits: it never joins, so every
     complete leaf below would need it in its sumset.  Neither cut drops a

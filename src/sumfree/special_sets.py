@@ -15,7 +15,8 @@ the mirror.  Once the positions below x are decided, T + T is final
 below x, so a branch is also cut once some y < x is outside T + T while
 2t - 1 - y is decided out, and once too few positions remain to reach
 size t.  Every size-t leaf gets the one t-special test,
-``st_family._is_special_mask``.  The budget is still the projected count
+``st_family._is_special_mask``, which reads both conditions from one
+T + T.  The budget is still the projected count
 C(2t, t) of size-t candidates, although the search visits far fewer
 nodes.
 """

@@ -6,11 +6,12 @@ integer, every subset T of [0, 2t - 1] yields the symmetric set
     S_T = [n - 2s + 1, 2s - 1]  u  (s + T)  u  -(s + T)   (mod n).
 
 Whether S_T is sum-free or complete reduces to plain integer conditions on
-T; this module provides the construction and the two conditions.  It holds
-the one t-special test (``_is_special_mask``: size t plus both conditions),
-which ``special_sets`` uses too, and the one bit layout of S_T
-(``_st_bits``), which ``build_st`` and the equivalence sweep in
-``search_oracle`` share.
+T; this module provides the construction and the two conditions.  Both
+conditions come from one T + T (``_window_conditions``), which the two
+public conditions and the one t-special test (``_is_special_mask``: size
+t plus both conditions, which ``special_sets`` uses too) read.  The
+module also holds the one bit layout of S_T (``_st_bits``), which
+``build_st`` and the equivalence sweep in ``search_oracle`` share.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Tuple
 
 from ._bits import bit_positions, mirror
 from .errors import ConstructionError, DomainError, ParameterError
-from .zn_core import CyclicSet, interval
+from .zn_core import CyclicSet, _sumset_bits, interval
 
 __all__ = [
     "STParameters",
@@ -102,29 +103,25 @@ class TCandidate:
         return self.mask.bit_count()
 
 
-def _self_sumset_mask(mask: int) -> int:
-    """T + T over the integers (repetition allowed), as a bit mask."""
-    acc = 0
-    for x in bit_positions(mask):
-        acc |= mask << x
-    return acc
+def _window_conditions(mask: int, t: int) -> Tuple[bool, bool]:
+    """The sum-free and the completeness condition of the window T.
 
-
-def _sum_free_condition_mask(mask: int, t: int) -> bool:
-    # 2t - 1 in T+T+T  <=>  (T+T) meets the mirror of T within [0, 2t-1]
-    return _self_sumset_mask(mask) & mirror(mask, 2 * t) == 0
-
-
-def _completeness_condition_mask(mask: int, t: int) -> bool:
+    T + T (repetition allowed) is built once, as a sumset mod 4t: no two
+    members of [0, 2t - 1] sum past 4t - 2, so nothing wraps.  2t - 1 is a
+    sum of three members iff T + T meets the mirror 2t - 1 - T, and the
+    completeness condition asks T + T to cover [0, 2t - 1 + min T] outside
+    the mirror.
+    """
+    sums = _sumset_bits(mask, mask, 4 * t)
+    mirrored = mirror(mask, 2 * t)
     low = (mask & -mask).bit_length() - 1
     required = (1 << (2 * t + low)) - 1
-    mirrored = mirror(mask, 2 * t)
-    return required & ~mirrored & ~_self_sumset_mask(mask) == 0
+    return not sums & mirrored, not required & ~mirrored & ~sums
 
 
 def st_sum_free_condition(T: TCandidate) -> bool:
     """True iff 2t - 1 is not a sum of three members (repetition allowed)."""
-    return _sum_free_condition_mask(T.mask, T.t)
+    return _window_conditions(T.mask, T.t)[0]
 
 
 def st_completeness_condition(T: TCandidate) -> bool:
@@ -134,7 +131,7 @@ def st_completeness_condition(T: TCandidate) -> bool:
     """
     if T.mask == 0:
         raise DomainError("completeness condition is undefined for an empty candidate")
-    return _completeness_condition_mask(T.mask, T.t)
+    return _window_conditions(T.mask, T.t)[1]
 
 
 def _st_bits(central: int, mask: int, t: int, s: int) -> int:
@@ -163,8 +160,4 @@ def build_st(params: STParameters, T: TCandidate) -> CyclicSet:
 
 def _is_special_mask(mask: int, t: int) -> bool:
     """The t-special test: size t, the sum-free and the completeness condition."""
-    return (
-        mask.bit_count() == t
-        and _sum_free_condition_mask(mask, t)
-        and _completeness_condition_mask(mask, t)
-    )
+    return mask.bit_count() == t and all(_window_conditions(mask, t))

@@ -25,7 +25,9 @@ from oracles import (
     equivalence_per_window,
     max_sum_free_from_empty,
     scsf_skip_take,
+    scsf_uncut,
     special_unpruned,
+    sumset_per_run,
     theorem_valid_pairs,
 )
 from sumfree import search_oracle
@@ -36,8 +38,8 @@ from sumfree.search_oracle import (
     _max_sum_free_leaves,
     _orbit_union,
     _pair_orbits,
+    _scsf_dfs,
     _scsf_search,
-    _scsf_shard,
     _search_tables,
     _window_search,
     characterization_probe,
@@ -199,6 +201,70 @@ def test_catalog_leaves_match_skip_take_oracle(n):
             assert sorted(leaves) == scsf_skip_take(n, orbits, start, s), (n, s)
 
 
+@pytest.mark.parametrize("search", [0, 1], ids=["holding_1", "no_unit"])
+def test_catalog_leaves_match_uncut_search(search):
+    # past the skip/take oracle's reach: the search with neither cut
+    n = 72
+    orbits, start = _catalog_searches(n)[search]
+    assert sorted(_scsf_search(n, [(orbits, start)], None, 1)) == scsf_uncut(
+        n, orbits, start
+    )
+
+
+def _record_shards(monkeypatch):
+    """Record each _scsf_search call as (n, searches, size_filter, shards),
+    the shards being those its run_sharded call receives."""
+    calls = []
+    search, run = search_oracle._scsf_search, search_oracle.run_sharded
+
+    def recording_search(n, searches, size_filter, workers):
+        calls.append((n, searches, size_filter, []))
+        return search(n, searches, size_filter, workers)
+
+    def recording_run(fn, shards, workers):
+        assert fn is _scsf_dfs
+        calls[-1][3].extend(shards)
+        return run(fn, shards, workers)
+
+    monkeypatch.setattr(search_oracle, "_scsf_search", recording_search)
+    monkeypatch.setattr(search_oracle, "run_sharded", recording_run)
+    return calls
+
+
+def test_shards_are_sum_free_search_nodes(monkeypatch):
+    calls = _record_shards(monkeypatch)
+    for n in range(1, 41):
+        exhaustive_scsf(n)
+    characterization_probe(43, 12)
+    for t in range(5, 9):
+        verify_st_equivalence(14 * t - 1, 4 * t)
+    assert len(calls) == 45
+    for n, searches, size_filter, shards in calls:
+        assert len(shards) <= 64
+        for shard in shards:
+            s_bits, ss_bits = shard[5:7]
+            assert (shard[0], shard[7]) == (n, size_filter)
+            assert ss_bits == sumset_per_run(s_bits, s_bits, n)
+            assert not s_bits & ss_bits
+        for orbits, start in searches:
+            # shards run in choice order, which numbers orbit 0 by the low
+            # bit, while one search takes the later orbits first; so the
+            # leaves agree as lists in bit order
+            joined = [
+                leaf
+                for shard in shards
+                if shard[1] is orbits
+                for leaf in _scsf_dfs(*shard)
+            ]
+            ss_bits = sumset_per_run(start, start, n)
+            whole = [] if start & ss_bits else _scsf_dfs(
+                n, orbits, *_search_tables(n, orbits), 0, start, ss_bits, size_filter
+            )
+            assert sorted(joined) == sorted(whole), (n, size_filter)
+    # at n = 40, 39 of the 64 choices are not sum-free and are not dispatched
+    assert len(calls[39][3]) == 25
+
+
 def test_window_leaves_match_skip_take_oracle():
     # the theorem-valid pairs, then st equiv at t = 12 (n = 14t - 1, s = 4t),
     # where the coverability cut drops most of the nodes
@@ -228,7 +294,7 @@ def test_catalog_workers_agree():
             single = exhaustive_scsf(n, size_filter)
             orbits = _pair_orbits(n)
             shard = (n, orbits, *_search_tables(n, orbits), 0, 0, 0, size_filter)
-            unsharded = sorted(_scsf_shard(*shard))
+            unsharded = sorted(_scsf_dfs(*shard))
             assert [m.bits for m in single.members] == unsharded
             assert exhaustive_scsf(n, size_filter, workers=3) == single
 
@@ -272,13 +338,13 @@ def _drop_window_from_specials(monkeypatch, mask):
 
 
 def _drop_window_from_group_side(monkeypatch, mask):
-    honest = search_oracle._scsf_shard
+    honest = search_oracle._scsf_dfs
 
     def lossy(*shard):
         # at (61, 18) the window T sits in bits 18 .. 25 of S_T
         return [bits for bits in honest(*shard) if bits >> 18 & 0xFF != mask]
 
-    monkeypatch.setattr(search_oracle, "_scsf_shard", lossy)
+    monkeypatch.setattr(search_oracle, "_scsf_dfs", lossy)
 
 
 @pytest.mark.parametrize(
@@ -383,7 +449,7 @@ def test_catalog_search_takes_a_chain_of_every_orbit():
     middle = sum(orbits)
     assert middle == ((1 << (2 * m + 1)) - 1) << (2 * m + 1)
     shard = (n, orbits, *_search_tables(n, orbits), 0, 0, 0, middle.bit_count())
-    assert _scsf_shard(*shard) == [middle]
+    assert _scsf_dfs(*shard) == [middle]
     assert _scsf_search(n, [(orbits, 0)], middle.bit_count(), 1) == [middle]
 
 
